@@ -58,7 +58,6 @@ from .homothety import (
 from .scene import Scene, build_scene, scene_to_json, scene_to_svg
 from .triples import (
     ConicTriple,
-    RightTriangle,
     SweepRow,
     conic_triple,
     make_right_triangle,

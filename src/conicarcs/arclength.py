@@ -22,6 +22,7 @@ from scipy.integrate import quad
 
 from .conic import ConicArc, ConicClass, _check_feasible, construct_arc, sample_points
 from .errors import QuadratureNonConvergence, WrongClass
+from .textfmt import fmt
 
 __all__ = [
     "QuadratureSettings",
@@ -34,19 +35,16 @@ __all__ = [
 ]
 
 
+_MAX_SUBDIVISIONS = 60
+
+
 @dataclass(frozen=True)
 class QuadratureSettings:
     rel_tol: float = 1e-12
-    abs_tol: float = 0.0
-    max_subdivisions: int = 60
 
     def __post_init__(self) -> None:
         if not (self.rel_tol > 0.0):
             raise ValueError(f"rel_tol must be > 0, got {self.rel_tol}")
-        if self.abs_tol < 0.0:
-            raise ValueError(f"abs_tol must be >= 0, got {self.abs_tol}")
-        if self.max_subdivisions < 10:
-            raise ValueError(f"max_subdivisions must be >= 10, got {self.max_subdivisions}")
 
 
 DEFAULT_SETTINGS = QuadratureSettings()
@@ -65,9 +63,8 @@ def arc_length(arc: ConicArc, settings: QuadratureSettings = DEFAULT_SETTINGS) -
     The dimensionless integral over [-beta, beta] is evaluated first and then
     scaled by the semi-latus rectum, so equal (e, k) give bitwise-equal length
     ratios across chords.  Raises ``QuadratureNonConvergence`` if the error
-    estimate still exceeds ``max(abs_tol, rel_tol * c)`` after the subdivision
-    budget, which only happens extremely close to the hyperbola's asymptote
-    domain.
+    estimate still exceeds ``rel_tol * c`` after the subdivision budget,
+    which only happens extremely close to the hyperbola's asymptote domain.
     """
     e = arc.e
     esq = e * e
@@ -80,18 +77,18 @@ def arc_length(arc: ConicArc, settings: QuadratureSettings = DEFAULT_SETTINGS) -
         integrand,
         -arc.beta,
         arc.beta,
-        epsabs=settings.abs_tol / arc.p,
+        epsabs=0.0,
         epsrel=settings.rel_tol,
-        limit=settings.max_subdivisions,
+        limit=_MAX_SUBDIVISIONS,
         full_output=1,
     )
     value, abserr, info = out[0], out[1], out[2]
     length = arc.p * value
     error = arc.p * abserr
-    if error > max(settings.abs_tol, settings.rel_tol * abs(length)):
+    if error > settings.rel_tol * abs(length):
         raise QuadratureNonConvergence(
-            f"error estimate {error:g} above tolerance after "
-            f"{settings.max_subdivisions} subdivisions (e={e:g}, k={arc.k:g})"
+            f"error estimate {fmt(error)} above tolerance after "
+            f"{_MAX_SUBDIVISIONS} subdivisions (e={fmt(e)}, k={fmt(arc.k)})"
         )
     return ArcLengthResult(length=length, error_estimate=error, evaluations=int(info["neval"]))
 

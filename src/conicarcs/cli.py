@@ -13,6 +13,7 @@ import math
 import sys
 
 from .arclength import (
+    DEFAULT_SETTINGS,
     QuadratureSettings,
     arc_length,
     closed_form_circle,
@@ -51,35 +52,23 @@ def _finite_list(text: str) -> list[float]:
     return [_finite(t) for t in items]
 
 
-def _settings(args) -> QuadratureSettings:
-    return QuadratureSettings(rel_tol=getattr(args, "rel_tol", 1e-12))
+_ARC_FIELDS = ("e", "l", "f", "k", "a", "b", "c_focal", "m", "p", "s", "beta", "alpha")
+_CLOSED_FORMS = {ConicClass.CIRCLE: closed_form_circle, ConicClass.PARABOLA: closed_form_parabola}
 
 
 def _cmd_construct(args) -> int:
     arc = construct_arc(args.l, args.f, args.e)
-    opt = lambda v: "null" if v is None else fmt(v)
-    fields = [
-        f'"class": "{arc.conic_class.value}"',
-        f'"e": {fmt(arc.e)}',
-        f'"l": {fmt(arc.l)}',
-        f'"f": {fmt(arc.f)}',
-        f'"k": {fmt(arc.k)}',
-        f'"a": {opt(arc.a)}',
-        f'"b": {opt(arc.b)}',
-        f'"c_focal": {opt(arc.c_focal)}',
-        f'"m": {fmt(arc.m)}',
-        f'"p": {fmt(arc.p)}',
-        f'"s": {fmt(arc.s)}',
-        f'"beta": {fmt(arc.beta)}',
-        f'"alpha": {opt(arc.alpha)}',
-    ]
+    fields = [f'"class": "{arc.conic_class.value}"']
+    for name in _ARC_FIELDS:
+        value = getattr(arc, name)
+        fields.append(f'"{name}": {"null" if value is None else fmt(value)}')
     print("{" + ", ".join(fields) + "}")
     return 0
 
 
 def _cmd_arclen(args) -> int:
     arc = construct_arc(args.l, args.f, args.e)
-    res = arc_length(arc, _settings(args))
+    res = arc_length(arc, QuadratureSettings(args.rel_tol))
     print(f"length={fmt(res.length)}")
     print(f"error_estimate={fmt(res.error_estimate)}")
     print(f"evaluations={res.evaluations}")
@@ -88,7 +77,7 @@ def _cmd_arclen(args) -> int:
 
 def _cmd_verify(args) -> int:
     tri = make_right_triangle(args.leg2, args.leg3)
-    triple = conic_triple(tri, args.e, args.k, _settings(args))
+    triple = conic_triple(tri, args.e, args.k, QuadratureSettings(args.rel_tol))
     c1, c2, c3 = triple.lengths
     print(f"c1={fmt(c1)}")
     print(f"c2={fmt(c2)}")
@@ -99,7 +88,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_sweep(args) -> int:
     tri = make_right_triangle(args.leg2, args.leg3)
-    rows = sweep(tri, args.e_list, args.k_list, _settings(args))
+    rows = sweep(tri, args.e_list, args.k_list, QuadratureSettings(args.rel_tol))
     sys.stdout.write(sweep_csv(rows))
     return 0
 
@@ -114,30 +103,24 @@ def _cmd_scene(args) -> int:
 
 def _cmd_centre(args) -> int:
     tri = place_triangle(args.leg2, args.leg3)
-    first = verify_homothety(tri, args.k_list[0])
-    print(f"centre_x={fmt(first.centre.x)}")
-    print(f"centre_y={fmt(first.centre.y)}")
-    for k in args.k_list:
-        rep = verify_homothety(tri, k)
+    reports = [verify_homothety(tri, k) for k in args.k_list]
+    print(f"centre_x={fmt(reports[0].centre.x)}")
+    print(f"centre_y={fmt(reports[0].centre.y)}")
+    for k, rep in zip(args.k_list, reports):
         print(f"k={fmt(k)} ratio={fmt(rep.ratio)} max_deviation={fmt(rep.max_deviation)}")
     return 0
 
 
 def _cmd_oracle(args) -> int:
     arc = construct_arc(args.l, args.f, args.e)
-    res = arc_length(arc, _settings(args))
-    rows = [("quadrature", res.length, None)]
-    poly = polyline_length(arc, args.n)
-    rows.append(("polyline", poly, abs(poly - res.length) / res.length))
-    if arc.conic_class is ConicClass.CIRCLE:
-        cf = closed_form_circle(arc)
-        rows.append(("closed_form", cf, abs(cf - res.length) / res.length))
-    elif arc.conic_class is ConicClass.PARABOLA:
-        cf = closed_form_parabola(arc)
-        rows.append(("closed_form", cf, abs(cf - res.length) / res.length))
-    print("method,value,rel_gap_vs_quadrature")
-    for name, value, gap in rows:
-        print(f"{name},{fmt(value)},{'' if gap is None else fmt(gap)}")
+    c = arc_length(arc, QuadratureSettings(args.rel_tol)).length
+    others = [("polyline", polyline_length(arc, args.n))]
+    closed_form = _CLOSED_FORMS.get(arc.conic_class)
+    if closed_form is not None:
+        others.append(("closed_form", closed_form(arc)))
+    table = ["method,value,rel_gap_vs_quadrature", f"quadrature,{fmt(c)},"]
+    table += [f"{name},{fmt(v)},{fmt(abs(v - c) / c)}" for name, v in others]
+    print("\n".join(table))
     return 0
 
 
@@ -154,7 +137,7 @@ def _build_parser() -> _Parser:
 
     num = {"type": _finite, "required": True}
     nums = {"type": _finite_list, "required": True}
-    rel = {"type": _finite, "default": 1e-12}
+    rel = {"type": _finite, "default": DEFAULT_SETTINGS.rel_tol}
 
     add("construct", _cmd_construct, l=num, f=num, e=num)
     add("arclen", _cmd_arclen, l=num, f=num, e=num, rel_tol=rel)

@@ -40,6 +40,7 @@ from .errors import (
     OutOfAngularRange,
     ParabolaHasNoCentre,
 )
+from .textfmt import fmt
 
 __all__ = [
     "ConicClass",
@@ -98,22 +99,33 @@ def _check_feasible(e: float, k: float) -> float:
     k_min = feasibility_min_k(e)
     if not (k > k_min):
         if k_min > 0.0:
-            msg = (f"sagitta too large for e={e:g}: k = l/f = {k:g} must exceed "
-                   f"{k_min:g} (requires f < l/{k_min:g})")
+            msg = (f"sagitta too large for e={fmt(e)}: k = l/f = {fmt(k)} must exceed "
+                   f"{fmt(k_min)} (requires f < l/{fmt(k_min)})")
         else:
-            msg = f"k = l/f = {k:g} must be positive"
+            msg = f"k = l/f = {fmt(k)} must be positive"
         raise InfeasibleSagitta(msg)
     return k_min
 
 
-# Dimensionless shape factors (values per unit chord length).
+def _unit_shape(cls: ConicClass, e: float, k: float):
+    """Shape of the (e, k) arc per unit chord: ``(p, s, a, m, beta, alpha)``.
 
-def _latus_unit(e: float, k: float) -> float:
-    return k / 8.0 + (1.0 - e * e) / (2.0 * k)
-
-
-def _offset_unit(e: float, k: float) -> float:
-    return k / (8.0 * (1.0 + e)) - (1.0 + e) / (2.0 * k)
+    ``a`` and ``alpha`` are None for the parabola, whose ``m`` is its focal
+    length.  Every angle and length of an arc comes from here, so arcs of equal
+    (e, k) agree bit for bit whatever their chord.
+    """
+    _check_feasible(e, k)
+    q = 1.0 - e * e
+    p = k / 8.0 + q / (2.0 * k)
+    s = k / (8.0 * (1.0 + e)) - (1.0 + e) / (2.0 * k)
+    beta = math.atan2(0.5, s)
+    if cls is ConicClass.PARABOLA:
+        return p, s, None, k / 16.0, beta, None
+    # ellipse and hyperbola differ only in the sign of the 1/(2k) term
+    axis = k / (8.0 * abs(q))
+    half = math.copysign(1.0 / (2.0 * k), q)
+    m = axis - half
+    return p, s, axis + half, m, beta, math.atan2(0.5, m)
 
 
 @dataclass(frozen=True)
@@ -178,30 +190,15 @@ def construct_arc(l: float, f: float, e: float) -> ConicArc:
     """
     cls = classify(e)
     chord = ChordSagitta(float(l), float(f))
-    l, f, k = chord.l, chord.f, chord.k
-    _check_feasible(e, k)
-
-    p = l * _latus_unit(e, k)
-    s_u = _offset_unit(e, k)
-    s = l * s_u
-    beta = math.atan2(0.5, s_u)
-
-    if cls is ConicClass.PARABOLA:
-        return ConicArc(cls, e, chord, None, None, None, m=l * k / 16.0, p=p,
-                        s=s, beta=beta, alpha=None)
-
-    # a and m each from their own closed form, so that alpha here and
-    # centre_half_angle agree bit for bit
-    if cls is ConicClass.HYPERBOLA:
-        a_u = k / (8.0 * (e * e - 1.0)) - 1.0 / (2.0 * k)
-        m_u = k / (8.0 * (e * e - 1.0)) + 1.0 / (2.0 * k)
-        b_val = l * a_u * math.sqrt(e * e - 1.0)
-    else:  # circle or ellipse
-        a_u = k / (8.0 * (1.0 - e * e)) + 1.0 / (2.0 * k)
-        m_u = k / (8.0 * (1.0 - e * e)) - 1.0 / (2.0 * k)
-        b_val = l * a_u * math.sqrt(1.0 - e * e)
-    return ConicArc(cls, e, chord, a=l * a_u, b=b_val, c_focal=e * l * a_u,
-                    m=l * m_u, p=p, s=s, beta=beta, alpha=math.atan2(0.5, m_u))
+    l = chord.l
+    p, s, a_u, m_u, beta, alpha = _unit_shape(cls, e, chord.k)
+    a = b = c_focal = None
+    if a_u is not None:
+        a = l * a_u
+        b = a * math.sqrt(abs(1.0 - e * e))
+        c_focal = e * l * a_u
+    return ConicArc(cls, e, chord, a=a, b=b, c_focal=c_focal, m=l * m_u, p=l * p,
+                    s=l * s, beta=beta, alpha=alpha)
 
 
 def centre_half_angle(e: float, k: float) -> float:
@@ -209,12 +206,7 @@ def centre_half_angle(e: float, k: float) -> float:
     cls = classify(e)
     if cls is ConicClass.PARABOLA:
         raise ParabolaHasNoCentre("a parabola has no centre")
-    _check_feasible(e, k)
-    if cls is ConicClass.HYPERBOLA:
-        m_u = k / (8.0 * (e * e - 1.0)) + 1.0 / (2.0 * k)
-    else:
-        m_u = k / (8.0 * (1.0 - e * e)) - 1.0 / (2.0 * k)
-    return math.atan2(0.5, m_u)
+    return _unit_shape(cls, e, k)[5]
 
 
 def focus_half_angle(e: float, k: float) -> float:
@@ -222,17 +214,16 @@ def focus_half_angle(e: float, k: float) -> float:
 
     Obtuse for ``feasibility_min_k(e) < k < 2(1+e)``.
     """
-    _check_feasible(e, k)
-    return math.atan2(0.5, _offset_unit(e, k))
+    return _unit_shape(classify(e), e, k)[4]
 
 
 def polar_radius(arc: ConicArc, theta: float) -> float:
     """Focal distance r(theta) = p / (1 + e cos theta), theta = 0 towards the apex."""
     if abs(theta) > arc.beta:
-        raise OutOfAngularRange(f"|theta| = {abs(theta):g} exceeds beta = {arc.beta:g}")
+        raise OutOfAngularRange(f"|theta| = {fmt(abs(theta))} exceeds beta = {fmt(arc.beta)}")
     denom = 1.0 + arc.e * math.cos(theta)
     if denom <= 0.0:
-        raise AsymptoteDomain(f"1 + e*cos(theta) = {denom:g} <= 0")
+        raise AsymptoteDomain(f"1 + e*cos(theta) = {fmt(denom)} <= 0")
     return arc.p / denom
 
 

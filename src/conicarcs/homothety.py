@@ -114,6 +114,11 @@ def pythagorean_centre(tri: PlanarTriangle) -> Point:
     return (tri.p1 + foot).scaled(0.5)
 
 
+def _orientation(tri: PlanarTriangle) -> float:
+    """+1.0 if P1, P2, P3 run counter-clockwise, -1.0 if clockwise."""
+    return math.copysign(1.0, _cross(tri.p2 - tri.p1, tri.p3 - tri.p1))
+
+
 def _offset_side(a: Point, b: Point, dist: float, orient: float) -> tuple[Point, Point]:
     """Line of side a->b translated outward by dist: returns (point, direction)."""
     d = b - a
@@ -130,7 +135,7 @@ def enveloping_triangle(tri: PlanarTriangle, k: float) -> PlanarTriangle:
     """
     if not (k > 0.0) or not math.isfinite(k):
         raise NonPositiveInput(f"k must be positive and finite, got {k}")
-    orient = math.copysign(1.0, _cross(tri.p2 - tri.p1, tri.p3 - tri.p1))
+    orient = _orientation(tri)
     side1 = _offset_side(tri.p2, tri.p3, tri.l1 / k, orient)  # hypotenuse
     side2 = _offset_side(tri.p1, tri.p2, tri.l2 / k, orient)
     side3 = _offset_side(tri.p3, tri.p1, tri.l3 / k, orient)
@@ -144,7 +149,7 @@ def homothety_ratio(tri: PlanarTriangle, k: float) -> float:
     """Scale factor mapping the triangle onto its k-envelope: 1 + 2 l1 / (k h1)."""
     if not (k > 0.0) or not math.isfinite(k):
         raise NonPositiveInput(f"k must be positive and finite, got {k}")
-    h1 = tri.l2 * tri.l3 / tri.l1
+    _, h1 = altitude_from_right_angle(tri)
     return 1.0 + 2.0 * tri.l1 / (k * h1)
 
 

@@ -8,7 +8,6 @@ identical input yields byte-identical output.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,6 +16,7 @@ from .conic import _check_feasible, construct_arc, sample_points
 from .homothety import (
     PlanarTriangle,
     Point,
+    _orientation,
     altitude_from_right_angle,
     enveloping_triangle,
     pythagorean_centre,
@@ -52,8 +52,7 @@ def _arc_on_side(a: Point, b: Point, length: float, sagitta: float, e: float,
     arc = construct_arc(length, sagitta, e)
     pts = sample_points(arc, samples)
     mid = np.array([(a.x + b.x) / 2.0, (a.y + b.y) / 2.0])
-    span = math.hypot(b.x - a.x, b.y - a.y)
-    t = np.array([b.x - a.x, b.y - a.y]) / span
+    t = np.array([b.x - a.x, b.y - a.y]) / length
     n = orient * np.array([t[1], -t[0]])
     return mid + np.outer(pts[:, 0], t) + np.outer(pts[:, 1], n)
 
@@ -61,11 +60,7 @@ def _arc_on_side(a: Point, b: Point, length: float, sagitta: float, e: float,
 def build_scene(tri: PlanarTriangle, e: float, k: float, samples: int) -> Scene:
     """Assemble the full drawing for one (e, k) family on an embedded triangle."""
     _check_feasible(e, k)  # rejects k <= 0 before any division
-    orient = math.copysign(
-        1.0,
-        (tri.p2.x - tri.p1.x) * (tri.p3.y - tri.p1.y)
-        - (tri.p2.y - tri.p1.y) * (tri.p3.x - tri.p1.x),
-    )
+    orient = _orientation(tri)
     sides = (
         (tri.p2, tri.p3, tri.l1),  # hypotenuse first, matching arc1..arc3
         (tri.p1, tri.p2, tri.l2),

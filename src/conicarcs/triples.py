@@ -15,10 +15,10 @@ from dataclasses import dataclass
 from .arclength import DEFAULT_SETTINGS, QuadratureSettings, arc_length
 from .conic import ConicArc, _check_feasible, construct_arc
 from .errors import InfeasibleSagitta, NonFinite, NonPositiveInput
+from .homothety import PlanarTriangle, place_triangle
 from .textfmt import fmt
 
 __all__ = [
-    "RightTriangle",
     "ConicTriple",
     "SweepRow",
     "make_right_triangle",
@@ -30,25 +30,10 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class RightTriangle:
-    """Side lengths with l1 the hypotenuse; legs normalized so l2 >= l3."""
-
-    l1: float
-    l2: float
-    l3: float
-
-
-def make_right_triangle(l2: float, l3: float) -> RightTriangle:
-    """Right triangle from its two legs; the hypotenuse is derived."""
-    l2, l3 = float(l2), float(l3)
-    if not (math.isfinite(l2) and math.isfinite(l3)):
-        raise NonFinite(f"legs must be finite, got {l2}, {l3}")
-    if l2 <= 0.0 or l3 <= 0.0:
-        raise NonPositiveInput(f"legs must be positive, got {l2}, {l3}")
-    if l3 > l2:
-        l2, l3 = l3, l2
-    return RightTriangle(l1=math.hypot(l2, l3), l2=l2, l3=l3)
+def make_right_triangle(l2: float, l3: float) -> PlanarTriangle:
+    """Right triangle from its two legs, embedded as by ``place_triangle`` with l2 >= l3."""
+    tri = place_triangle(l2, l3)  # validates the legs in the order given
+    return place_triangle(tri.l3, tri.l2) if tri.l3 > tri.l2 else tri
 
 
 @dataclass(frozen=True)
@@ -70,7 +55,7 @@ def pythagorean_residual(triple: ConicTriple) -> float:
 
 
 def conic_triple(
-    tri: RightTriangle,
+    tri: PlanarTriangle,
     e: float,
     k: float,
     settings: QuadratureSettings = DEFAULT_SETTINGS,
@@ -102,7 +87,7 @@ class SweepRow:
 
 
 def sweep(
-    tri: RightTriangle,
+    tri: PlanarTriangle,
     e_values: list[float],
     k_values: list[float],
     settings: QuadratureSettings = DEFAULT_SETTINGS,

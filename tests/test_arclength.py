@@ -46,10 +46,6 @@ def parametric_oracle(arc):
 def test_settings_validation():
     with pytest.raises(ValueError):
         QuadratureSettings(rel_tol=0.0)
-    with pytest.raises(ValueError):
-        QuadratureSettings(abs_tol=-1.0)
-    with pytest.raises(ValueError):
-        QuadratureSettings(max_subdivisions=5)
 
 
 def test_circle_semicircle_limit():

@@ -131,6 +131,13 @@ def test_centre_output(capsys):
     assert ratio == approx(1.5208333333333333, rel=1e-13)
 
 
+def test_centre_invalid_k_prints_nothing(capsys):
+    code, out, err = run(capsys, "centre", "--leg2", "4", "--leg3", "3", "--k-list", "4,0")
+    assert code == 1
+    assert out == ""
+    assert "error" in err
+
+
 def test_oracle_table(capsys):
     code, out, _ = run(capsys, "oracle", "--l", "1", "--f", "0.125", "--e", "1", "--n", "1000")
     assert code == 0

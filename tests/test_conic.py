@@ -75,6 +75,10 @@ def test_construct_rejects_nonpositive_lengths():
 def test_construct_infeasible_sagitta_message_names_bound():
     with pytest.raises(InfeasibleSagitta, match=r"f < l/2"):
         construct_arc(1.0, 0.6, 0.0)
+    # at 17 digits a k just below k_min(2) reads as below it
+    with pytest.raises(InfeasibleSagitta,
+                       match=r"k = l/f = 3\.4641015999999998 must exceed 3\.4641016151377544"):
+        construct_arc(1.0, 1.0 / 3.4641016, 2.0)
 
 
 def test_construct_near_semicircle():
@@ -189,11 +193,13 @@ def test_centre_half_angle_ellipse_formula():
         assert 0.0 < centre_half_angle(e, k) < math.pi / 2.0
 
 
-def test_angles_independent_of_chord_length():
+@pytest.mark.parametrize("e", [0.5, 2.0, 1.0])
+def test_angles_independent_of_chord_length(e):
     for l in (1.0, 37.0):
-        arc = construct_arc(l, l / 4.0, 0.5)
-        assert arc.alpha == centre_half_angle(0.5, 4.0)
-        assert arc.beta == focus_half_angle(0.5, 4.0)
+        arc = construct_arc(l, l / 4.0, e)
+        assert arc.beta == focus_half_angle(e, 4.0)
+        if arc.conic_class is not ConicClass.PARABOLA:
+            assert arc.alpha == centre_half_angle(e, 4.0)
 
 
 @pytest.mark.parametrize("e,k", GRID)

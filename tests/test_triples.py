@@ -37,6 +37,10 @@ def test_make_right_triangle_rejects_bad_legs():
         make_right_triangle(0.0, 1.0)
     with pytest.raises(NonFinite):
         make_right_triangle(float("inf"), 1.0)
+    with pytest.raises(NonFinite):
+        make_right_triangle(1.0, float("nan"))
+    with pytest.raises(NonPositiveInput):
+        make_right_triangle(1.0, -1.0)
 
 
 def test_triple_focus_angles_identical():
