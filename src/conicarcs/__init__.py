@@ -19,7 +19,6 @@ from .arclength import (
     polyline_length,
 )
 from .conic import (
-    ChordSagitta,
     ConicArc,
     ConicClass,
     canonical_residual,
@@ -31,19 +30,7 @@ from .conic import (
     polar_radius,
     sample_points,
 )
-from .errors import (
-    AsymptoteDomain,
-    ConicError,
-    DegenerateSampleCount,
-    InfeasibleSagitta,
-    NegativeEccentricity,
-    NonFinite,
-    NonPositiveInput,
-    OutOfAngularRange,
-    ParabolaHasNoCentre,
-    QuadratureNonConvergence,
-    WrongClass,
-)
+from .errors import ConicError, InfeasibleSagitta, QuadratureNonConvergence
 from .homothety import (
     HomothetyReport,
     PlanarTriangle,

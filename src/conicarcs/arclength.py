@@ -21,7 +21,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from .conic import ConicArc, ConicClass, _check_feasible, construct_arc, sample_points
-from .errors import QuadratureNonConvergence, WrongClass
+from .errors import ConicError, QuadratureNonConvergence
 from .textfmt import fmt
 
 __all__ = [
@@ -44,7 +44,7 @@ class QuadratureSettings:
 
     def __post_init__(self) -> None:
         if not (self.rel_tol > 0.0):
-            raise ValueError(f"rel_tol must be > 0, got {self.rel_tol}")
+            raise ConicError(f"rel_tol must be > 0, got {self.rel_tol}")
 
 
 DEFAULT_SETTINGS = QuadratureSettings()
@@ -96,7 +96,7 @@ def arc_length(arc: ConicArc, settings: QuadratureSettings = DEFAULT_SETTINGS) -
 def closed_form_circle(arc: ConicArc) -> float:
     """Exact circular arc length 2 R asin(l / 2R) = 2 R beta."""
     if arc.conic_class is not ConicClass.CIRCLE:
-        raise WrongClass(f"expected a circle, got {arc.conic_class.value}")
+        raise ConicError(f"expected a circle, got {arc.conic_class.value}")
     R = arc.a
     return 2.0 * R * math.asin(arc.l / (2.0 * R))
 
@@ -108,7 +108,7 @@ def closed_form_parabola(arc: ConicArc) -> float:
     p * (u sqrt(1 + u^2) + asinh(u)) with u = 4/k.
     """
     if arc.conic_class is not ConicClass.PARABOLA:
-        raise WrongClass(f"expected a parabola, got {arc.conic_class.value}")
+        raise ConicError(f"expected a parabola, got {arc.conic_class.value}")
     u = 4.0 / arc.k
     return arc.p * (u * math.sqrt(1.0 + u * u) + math.asinh(u))
 

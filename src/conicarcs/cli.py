@@ -21,7 +21,7 @@ from .arclength import (
     polyline_length,
 )
 from .conic import ConicClass, construct_arc
-from .errors import ConicError, InfeasibleSagitta, QuadratureNonConvergence
+from .errors import InfeasibleSagitta, QuadratureNonConvergence
 from .homothety import place_triangle, verify_homothety
 from .scene import build_scene, scene_to_json, scene_to_svg
 from .textfmt import fmt
@@ -165,7 +165,7 @@ def main(argv: list[str] | None = None) -> int:
     except InfeasibleSagitta as exc:
         print(f"conicarcs: infeasible: {exc}", file=sys.stderr)
         return 3
-    except (ConicError, QuadratureNonConvergence, ValueError) as exc:
+    except (ValueError, QuadratureNonConvergence) as exc:
         print(f"conicarcs: error: {exc}", file=sys.stderr)
         return 1
 

@@ -26,25 +26,15 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    AsymptoteDomain,
-    DegenerateSampleCount,
-    InfeasibleSagitta,
-    NegativeEccentricity,
-    NonFinite,
-    NonPositiveInput,
-    OutOfAngularRange,
-    ParabolaHasNoCentre,
-)
+from .errors import ConicError, InfeasibleSagitta
 from .textfmt import fmt
 
 __all__ = [
     "ConicClass",
-    "ChordSagitta",
     "ConicArc",
     "classify",
     "feasibility_min_k",
@@ -67,9 +57,9 @@ class ConicClass(enum.Enum):
 def _check_eccentricity(e: float) -> float:
     e = float(e)
     if not math.isfinite(e):
-        raise NonFinite(f"eccentricity must be finite, got {e}")
+        raise ConicError(f"eccentricity must be finite, got {e}")
     if e < 0.0:
-        raise NegativeEccentricity(f"eccentricity must be >= 0, got {e}")
+        raise ConicError(f"eccentricity must be >= 0, got {e}")
     return e
 
 
@@ -129,24 +119,8 @@ def _unit_shape(cls: ConicClass, e: float, k: float):
 
 
 @dataclass(frozen=True)
-class ChordSagitta:
-    """Chord length, sagitta height, and their ratio k = l/f (always derived)."""
-
-    l: float
-    f: float
-    k: float = field(init=False)
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.l) and math.isfinite(self.f)):
-            raise NonFinite(f"chord and sagitta must be finite, got l={self.l}, f={self.f}")
-        if self.l <= 0.0 or self.f <= 0.0:
-            raise NonPositiveInput(f"chord and sagitta must be positive, got l={self.l}, f={self.f}")
-        object.__setattr__(self, "k", self.l / self.f)
-
-
-@dataclass(frozen=True)
 class ConicArc:
-    """Fully resolved symmetric arc.
+    """Fully resolved symmetric arc on chord ``l`` with sagitta ``f`` and ``k = l/f``.
 
     ``m`` is the axial coordinate of the chord in the conic's canonical frame
     (centre at the origin, apex vertex on the positive axis): ``m = a - f``
@@ -159,7 +133,9 @@ class ConicArc:
 
     conic_class: ConicClass
     e: float
-    chord: ChordSagitta
+    l: float
+    f: float
+    k: float
     a: float | None
     b: float | None
     c_focal: float | None
@@ -169,35 +145,28 @@ class ConicArc:
     beta: float
     alpha: float | None
 
-    @property
-    def l(self) -> float:
-        return self.chord.l
-
-    @property
-    def f(self) -> float:
-        return self.chord.f
-
-    @property
-    def k(self) -> float:
-        return self.chord.k
-
 
 def construct_arc(l: float, f: float, e: float) -> ConicArc:
     """Build the unique symmetric arc of eccentricity ``e`` on chord ``l`` with sagitta ``f``.
 
-    Raises ``InfeasibleSagitta`` when ``l/f <= feasibility_min_k(e)`` and
-    ``NonPositiveInput`` for non-positive lengths.
+    Checks e, then l and f, then feasibility: raises ``ConicError`` for a bad
+    eccentricity or a non-finite or non-positive length, and
+    ``InfeasibleSagitta`` when ``l/f <= feasibility_min_k(e)``.
     """
     cls = classify(e)
-    chord = ChordSagitta(float(l), float(f))
-    l = chord.l
-    p, s, a_u, m_u, beta, alpha = _unit_shape(cls, e, chord.k)
+    l, f = float(l), float(f)
+    if not (math.isfinite(l) and math.isfinite(f)):
+        raise ConicError(f"chord and sagitta must be finite, got l={l}, f={f}")
+    if l <= 0.0 or f <= 0.0:
+        raise ConicError(f"chord and sagitta must be positive, got l={l}, f={f}")
+    k = l / f
+    p, s, a_u, m_u, beta, alpha = _unit_shape(cls, e, k)
     a = b = c_focal = None
     if a_u is not None:
         a = l * a_u
         b = a * math.sqrt(abs(1.0 - e * e))
         c_focal = e * l * a_u
-    return ConicArc(cls, e, chord, a=a, b=b, c_focal=c_focal, m=l * m_u, p=l * p,
+    return ConicArc(cls, e, l, f, k, a=a, b=b, c_focal=c_focal, m=l * m_u, p=l * p,
                     s=l * s, beta=beta, alpha=alpha)
 
 
@@ -205,7 +174,7 @@ def centre_half_angle(e: float, k: float) -> float:
     """Half-angle subtended by the chord at the conic's centre; function of (e, k) only."""
     cls = classify(e)
     if cls is ConicClass.PARABOLA:
-        raise ParabolaHasNoCentre("a parabola has no centre")
+        raise ConicError("a parabola has no centre")
     return _unit_shape(cls, e, k)[5]
 
 
@@ -220,10 +189,10 @@ def focus_half_angle(e: float, k: float) -> float:
 def polar_radius(arc: ConicArc, theta: float) -> float:
     """Focal distance r(theta) = p / (1 + e cos theta), theta = 0 towards the apex."""
     if abs(theta) > arc.beta:
-        raise OutOfAngularRange(f"|theta| = {fmt(abs(theta))} exceeds beta = {fmt(arc.beta)}")
+        raise ConicError(f"|theta| = {fmt(abs(theta))} exceeds beta = {fmt(arc.beta)}")
     denom = 1.0 + arc.e * math.cos(theta)
     if denom <= 0.0:
-        raise AsymptoteDomain(f"1 + e*cos(theta) = {fmt(denom)} <= 0")
+        raise ConicError(f"1 + e*cos(theta) = {fmt(denom)} <= 0")
     return arc.p / denom
 
 
@@ -235,7 +204,7 @@ def sample_points(arc: ConicArc, n: int) -> np.ndarray:
     apex (0, f) to rounding error.
     """
     if n < 2:
-        raise DegenerateSampleCount(f"need n >= 2 samples, got {n}")
+        raise ConicError(f"need n >= 2 samples, got {n}")
     theta = np.linspace(-arc.beta, arc.beta, n + 1)
     if n % 2 == 0:
         theta[n // 2] = 0.0

@@ -1,44 +1,18 @@
-"""Exception types raised by the geometry and quadrature layers."""
+"""Exception types raised by the geometry and quadrature layers.
+
+Only the distinctions a caller acts on get their own class: an infeasible
+(e, k) (CLI exit 3, a flagged row in ``sweep``) and a quadrature that did not
+converge.  Every other invalid input is a plain ``ConicError`` whose message
+names the check that failed.
+"""
 
 
 class ConicError(ValueError):
-    """Base class for invalid geometric input."""
-
-
-class NegativeEccentricity(ConicError):
-    pass
-
-
-class NonFinite(ConicError):
-    pass
-
-
-class NonPositiveInput(ConicError):
-    pass
+    """Invalid geometric or numerical input."""
 
 
 class InfeasibleSagitta(ConicError):
     """The sagitta is too large for an arc of the requested eccentricity."""
-
-
-class ParabolaHasNoCentre(ConicError):
-    pass
-
-
-class OutOfAngularRange(ConicError):
-    pass
-
-
-class AsymptoteDomain(ConicError):
-    pass
-
-
-class DegenerateSampleCount(ConicError):
-    pass
-
-
-class WrongClass(ConicError):
-    pass
 
 
 class QuadratureNonConvergence(RuntimeError):

@@ -11,9 +11,9 @@ that claim numerically instead of assuming it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-from .errors import NonFinite, NonPositiveInput
+from .errors import ConicError
 
 __all__ = [
     "Point",
@@ -35,7 +35,7 @@ class Point:
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.x) and math.isfinite(self.y)):
-            raise NonFinite(f"point components must be finite, got ({self.x}, {self.y})")
+            raise ConicError(f"point components must be finite, got ({self.x}, {self.y})")
 
     def __add__(self, other: "Point") -> "Point":
         return Point(self.x + other.x, self.y + other.y)
@@ -70,34 +70,40 @@ def _intersect_lines(p1: Point, d1: Point, p2: Point, d2: Point) -> Point:
 
 @dataclass(frozen=True)
 class PlanarTriangle:
-    """Embedded right triangle: right angle at P1, hypotenuse P2P3 of length l1."""
+    """Embedded right triangle: right angle at P1, hypotenuse P2P3 of length l1.
+
+    The side lengths are derived from the vertices, which must be distinct and
+    right-angled at P1.
+    """
 
     p1: Point
     p2: Point
     p3: Point
-    l1: float
-    l2: float
-    l3: float
+    l1: float = field(init=False)
+    l2: float = field(init=False)
+    l3: float = field(init=False)
 
-    @classmethod
-    def from_vertices(cls, p1: Point, p2: Point, p3: Point) -> "PlanarTriangle":
+    def __post_init__(self) -> None:
+        p1, p2, p3 = self.p1, self.p2, self.p3
         l2 = _dist(p1, p2)
         l3 = _dist(p1, p3)
         if l2 <= 0.0 or l3 <= 0.0:
-            raise NonPositiveInput("triangle vertices must be distinct")
+            raise ConicError("triangle vertices must be distinct")
         if abs(_dot(p2 - p1, p3 - p1)) > 1e-12 * l2 * l3:
-            raise ValueError("triangle is not right-angled at P1")
-        return cls(p1=p1, p2=p2, p3=p3, l1=_dist(p2, p3), l2=l2, l3=l3)
+            raise ConicError("triangle is not right-angled at P1")
+        object.__setattr__(self, "l1", _dist(p2, p3))
+        object.__setattr__(self, "l2", l2)
+        object.__setattr__(self, "l3", l3)
 
 
 def place_triangle(l2: float, l3: float) -> PlanarTriangle:
     """Embed legs (l2, l3) with the right angle at the origin: P2 = (l2, 0), P3 = (0, l3)."""
     l2, l3 = float(l2), float(l3)
     if not (math.isfinite(l2) and math.isfinite(l3)):
-        raise NonFinite(f"legs must be finite, got {l2}, {l3}")
+        raise ConicError(f"legs must be finite, got {l2}, {l3}")
     if l2 <= 0.0 or l3 <= 0.0:
-        raise NonPositiveInput(f"legs must be positive, got {l2}, {l3}")
-    return PlanarTriangle.from_vertices(Point(0.0, 0.0), Point(l2, 0.0), Point(0.0, l3))
+        raise ConicError(f"legs must be positive, got {l2}, {l3}")
+    return PlanarTriangle(Point(0.0, 0.0), Point(l2, 0.0), Point(0.0, l3))
 
 
 def altitude_from_right_angle(tri: PlanarTriangle) -> tuple[Point, float]:
@@ -119,12 +125,18 @@ def _orientation(tri: PlanarTriangle) -> float:
     return math.copysign(1.0, _cross(tri.p2 - tri.p1, tri.p3 - tri.p1))
 
 
-def _offset_side(a: Point, b: Point, dist: float, orient: float) -> tuple[Point, Point]:
-    """Line of side a->b translated outward by dist: returns (point, direction)."""
+def _check_k(k: float) -> None:
+    if not (k > 0.0) or not math.isfinite(k):
+        raise ConicError(f"k must be positive and finite, got {k}")
+
+
+def _offset_side(a: Point, b: Point, length: float, k: float,
+                 orient: float) -> tuple[Point, Point]:
+    """Line of side a->b (of that length) pushed outward by length / k: (point, direction)."""
     d = b - a
-    scale = orient / math.hypot(d.x, d.y)
+    scale = orient / length
     n = Point(d.y * scale, -d.x * scale)
-    return a + n.scaled(dist), d
+    return a + n.scaled(length / k), d
 
 
 def enveloping_triangle(tri: PlanarTriangle, k: float) -> PlanarTriangle:
@@ -133,22 +145,20 @@ def enveloping_triangle(tri: PlanarTriangle, k: float) -> PlanarTriangle:
     Its sides pass through the sagitta tips of the arc family with ratio k and
     stay parallel to the original sides, so the result is similar to ``tri``.
     """
-    if not (k > 0.0) or not math.isfinite(k):
-        raise NonPositiveInput(f"k must be positive and finite, got {k}")
+    _check_k(k)
     orient = _orientation(tri)
-    side1 = _offset_side(tri.p2, tri.p3, tri.l1 / k, orient)  # hypotenuse
-    side2 = _offset_side(tri.p1, tri.p2, tri.l2 / k, orient)
-    side3 = _offset_side(tri.p3, tri.p1, tri.l3 / k, orient)
+    side1 = _offset_side(tri.p2, tri.p3, tri.l1, k, orient)  # hypotenuse
+    side2 = _offset_side(tri.p1, tri.p2, tri.l2, k, orient)
+    side3 = _offset_side(tri.p3, tri.p1, tri.l3, k, orient)
     q1 = _intersect_lines(*side3, *side2)
     q2 = _intersect_lines(*side2, *side1)
     q3 = _intersect_lines(*side1, *side3)
-    return PlanarTriangle.from_vertices(q1, q2, q3)
+    return PlanarTriangle(q1, q2, q3)
 
 
 def homothety_ratio(tri: PlanarTriangle, k: float) -> float:
     """Scale factor mapping the triangle onto its k-envelope: 1 + 2 l1 / (k h1)."""
-    if not (k > 0.0) or not math.isfinite(k):
-        raise NonPositiveInput(f"k must be positive and finite, got {k}")
+    _check_k(k)
     _, h1 = altitude_from_right_angle(tri)
     return 1.0 + 2.0 * tri.l1 / (k * h1)
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .arclength import DEFAULT_SETTINGS, QuadratureSettings, arc_length
 from .conic import ConicArc, _check_feasible, construct_arc
-from .errors import InfeasibleSagitta, NonFinite, NonPositiveInput
+from .errors import ConicError, InfeasibleSagitta
 from .homothety import PlanarTriangle, place_triangle
 from .textfmt import fmt
 
@@ -94,9 +94,9 @@ def sweep(
 ) -> list[SweepRow]:
     """Evaluate the (e, k) grid in ascending order; infeasible cells are flagged rows."""
     if not e_values or not k_values:
-        raise NonPositiveInput("e_values and k_values must be non-empty")
+        raise ConicError("e_values and k_values must be non-empty")
     if not all(math.isfinite(v) for v in list(e_values) + list(k_values)):
-        raise NonFinite("sweep grid values must be finite")
+        raise ConicError("sweep grid values must be finite")
     rows = []
     for e in sorted(e_values):
         for k in sorted(k_values):

@@ -8,10 +8,10 @@ from scipy.integrate import quad
 
 from conicarcs import (
     ConicClass,
+    ConicError,
     InfeasibleSagitta,
     QuadratureNonConvergence,
     QuadratureSettings,
-    WrongClass,
     arc_length,
     closed_form_circle,
     closed_form_parabola,
@@ -79,9 +79,9 @@ def test_parabola_closed_form_scales_linearly():
 
 def test_closed_forms_reject_wrong_class():
     ell = construct_arc(1.0, 0.25, 0.5)
-    with pytest.raises(WrongClass):
+    with pytest.raises(ConicError, match="expected a circle"):
         closed_form_circle(ell)
-    with pytest.raises(WrongClass):
+    with pytest.raises(ConicError, match="expected a parabola"):
         closed_form_parabola(ell)
 
 

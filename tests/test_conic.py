@@ -8,15 +8,9 @@ import pytest
 from pytest import approx
 
 from conicarcs import (
-    AsymptoteDomain,
     ConicClass,
-    DegenerateSampleCount,
+    ConicError,
     InfeasibleSagitta,
-    NegativeEccentricity,
-    NonFinite,
-    NonPositiveInput,
-    OutOfAngularRange,
-    ParabolaHasNoCentre,
     canonical_residual,
     centre_half_angle,
     classify,
@@ -40,11 +34,11 @@ def test_classify():
 
 
 def test_classify_rejects_bad_eccentricity():
-    with pytest.raises(NegativeEccentricity):
+    with pytest.raises(ConicError, match="eccentricity must be >= 0"):
         classify(-0.1)
-    with pytest.raises(NonFinite):
+    with pytest.raises(ConicError, match="eccentricity must be finite"):
         classify(float("nan"))
-    with pytest.raises(NonFinite):
+    with pytest.raises(ConicError, match="eccentricity must be finite"):
         classify(float("inf"))
 
 
@@ -52,7 +46,7 @@ def test_feasibility_min_k():
     assert feasibility_min_k(0.0) == approx(2.0)
     assert feasibility_min_k(1.0) == 0.0
     assert feasibility_min_k(2.0) == approx(2.0 * math.sqrt(3.0), rel=1e-15)
-    with pytest.raises(NegativeEccentricity):
+    with pytest.raises(ConicError, match="eccentricity must be >= 0"):
         feasibility_min_k(-1.0)
 
 
@@ -66,10 +60,22 @@ def test_feasibility_boundary_is_strict(e):
 
 
 def test_construct_rejects_nonpositive_lengths():
-    with pytest.raises(NonPositiveInput):
+    with pytest.raises(ConicError, match="chord and sagitta must be positive"):
         construct_arc(0.0, 0.1, 0.5)
-    with pytest.raises(NonPositiveInput):
+    with pytest.raises(ConicError, match="chord and sagitta must be positive"):
         construct_arc(1.0, -0.1, 0.5)
+
+
+@pytest.mark.parametrize("l,f,e,message", [
+    (1.0, -0.1, -0.5, "eccentricity must be >= 0"),          # bad e beats bad f
+    (1.0, float("inf"), float("nan"), "eccentricity must be finite"),
+    (1.0, -0.1, 0.0, "chord and sagitta must be positive"),  # bad f beats infeasible k
+    (1.0, float("inf"), 0.5, "chord and sagitta must be finite"),
+    (-1.0, 0.6, 0.0, "chord and sagitta must be positive"),
+])
+def test_construct_validation_order(l, f, e, message):
+    with pytest.raises(ConicError, match=message):
+        construct_arc(l, f, e)
 
 
 def test_construct_infeasible_sagitta_message_names_bound():
@@ -181,7 +187,7 @@ def test_centre_half_angle_circle():
 
 
 def test_centre_half_angle_parabola_rejected():
-    with pytest.raises(ParabolaHasNoCentre):
+    with pytest.raises(ConicError, match="a parabola has no centre"):
         centre_half_angle(1.0, 8.0)
 
 
@@ -258,7 +264,7 @@ def test_polar_radius_endpoint_distance():
 
 def test_polar_radius_out_of_range():
     arc = construct_arc(1.0, 0.25, 0.5)
-    with pytest.raises(OutOfAngularRange):
+    with pytest.raises(ConicError, match="exceeds beta"):
         polar_radius(arc, arc.beta * 1.0001)
 
 
@@ -267,7 +273,7 @@ def test_polar_radius_asymptote_guard():
     # guard on a doctored arc
     arc = construct_arc(1.0, 0.125, 2.0)
     bad = dataclasses.replace(arc, beta=3.0)
-    with pytest.raises(AsymptoteDomain):
+    with pytest.raises(ConicError, match=r"1 \+ e\*cos\(theta\) = .* <= 0"):
         polar_radius(bad, 2.8)
 
 
@@ -304,12 +310,12 @@ def test_sample_points_on_canonical_conic():
 
 def test_sample_points_degenerate_count():
     arc = construct_arc(1.0, 0.25, 0.5)
-    with pytest.raises(DegenerateSampleCount):
+    with pytest.raises(ConicError, match="need n >= 2 samples"):
         sample_points(arc, 1)
 
 
 def test_chord_sagitta_ratio_is_derived():
     arc = construct_arc(3.0, 0.375, 1.0)
-    assert arc.chord.k == 3.0 / 0.375
-    with pytest.raises(NonPositiveInput):
+    assert arc.k == 3.0 / 0.375
+    with pytest.raises(ConicError, match="chord and sagitta must be positive"):
         construct_arc(3.0, 0.0, 1.0)

@@ -6,10 +6,11 @@ import pytest
 from pytest import approx
 
 from conicarcs import (
-    NonPositiveInput,
+    ConicError,
     PlanarTriangle,
     Point,
     altitude_from_right_angle,
+    conic_triple,
     enveloping_triangle,
     homothety_ratio,
     place_triangle,
@@ -47,15 +48,32 @@ def test_place_triangle_legs_orthogonal():
 
 
 def test_place_triangle_rejects_bad_legs():
-    with pytest.raises(NonPositiveInput):
+    with pytest.raises(ConicError, match="legs must be positive"):
         place_triangle(0.0, 1.0)
-    with pytest.raises(NonPositiveInput):
+    with pytest.raises(ConicError, match="legs must be positive"):
         place_triangle(4.0, -3.0)
 
 
-def test_from_vertices_requires_right_angle():
+def test_planar_triangle_requires_right_angle():
     with pytest.raises(ValueError):
-        PlanarTriangle.from_vertices(Point(0.0, 0.0), Point(1.0, 0.0), Point(1.0, 1.0))
+        PlanarTriangle(Point(0.0, 0.0), Point(1.0, 0.0), Point(1.0, 1.0))
+
+
+def test_planar_triangle_derives_its_sides():
+    tri = PlanarTriangle(Point(0.0, 0.0), Point(4.0, 0.0), Point(0.0, 3.0))
+    assert (tri.l1, tri.l2, tri.l3) == (5.0, 4.0, 3.0)
+    with pytest.raises(TypeError):
+        PlanarTriangle(Point(0.0, 0.0), Point(4.0, 0.0), Point(0.0, 3.0), l1=5.0)
+    # lengths agree with the vertices downstream: leg arcs in ratio 4:3, and
+    # the envelope is the homothety image
+    lengths = conic_triple(tri, 0.5, 8.0).lengths
+    assert lengths[1] / lengths[2] == approx(4.0 / 3.0, rel=1e-15)
+    assert verify_homothety(tri, 8.0).max_deviation <= 1e-12 * tri.l1
+
+
+def test_planar_triangle_rejects_repeated_vertex():
+    with pytest.raises(ConicError, match="triangle vertices must be distinct"):
+        PlanarTriangle(Point(0.0, 0.0), Point(0.0, 0.0), Point(0.0, 3.0))
 
 
 def test_altitude_foot_and_length():
@@ -103,7 +121,7 @@ def test_enveloping_triangle_side_offsets():
     assert line_distance(tri.p2, env.p2, env.p3) == approx(5.0 / 8.0, rel=1e-12)
     assert line_distance(tri.p1, env.p1, env.p2) == approx(4.0 / 8.0, rel=1e-12)
     assert line_distance(tri.p1, env.p3, env.p1) == approx(3.0 / 8.0, rel=1e-12)
-    # right angle survives (PlanarTriangle.from_vertices already checks, but
+    # right angle survives (the PlanarTriangle constructor already checks, but
     # assert the similarity ratio explicitly)
     assert env.l1 / tri.l1 == approx(homothety_ratio(tri, 8.0), rel=1e-12)
     assert env.l2 / tri.l2 == approx(env.l1 / tri.l1, rel=1e-12)
@@ -129,7 +147,7 @@ def test_enveloping_triangle_large_k_limit():
 
 
 def test_enveloping_triangle_rejects_bad_k():
-    with pytest.raises(NonPositiveInput):
+    with pytest.raises(ConicError, match="k must be positive and finite"):
         enveloping_triangle(place_triangle(4.0, 3.0), 0.0)
 
 

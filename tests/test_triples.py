@@ -7,9 +7,8 @@ import pytest
 from pytest import approx
 
 from conicarcs import (
+    ConicError,
     InfeasibleSagitta,
-    NonFinite,
-    NonPositiveInput,
     conic_triple,
     g_factor,
     make_right_triangle,
@@ -33,13 +32,13 @@ def test_make_right_triangle_normalizes_leg_order():
 
 
 def test_make_right_triangle_rejects_bad_legs():
-    with pytest.raises(NonPositiveInput):
+    with pytest.raises(ConicError, match="legs must be positive"):
         make_right_triangle(0.0, 1.0)
-    with pytest.raises(NonFinite):
+    with pytest.raises(ConicError, match="legs must be finite"):
         make_right_triangle(float("inf"), 1.0)
-    with pytest.raises(NonFinite):
+    with pytest.raises(ConicError, match="legs must be finite"):
         make_right_triangle(1.0, float("nan"))
-    with pytest.raises(NonPositiveInput):
+    with pytest.raises(ConicError, match="legs must be positive"):
         make_right_triangle(1.0, -1.0)
 
 
@@ -132,9 +131,9 @@ def test_sweep_g_column_matches_g_factor():
 
 def test_sweep_rejects_empty_or_nonfinite_grids():
     tri = make_right_triangle(3.0, 4.0)
-    with pytest.raises(NonPositiveInput):
+    with pytest.raises(ConicError, match="e_values and k_values must be non-empty"):
         sweep(tri, [], [8.0])
-    with pytest.raises(NonFinite):
+    with pytest.raises(ConicError, match="sweep grid values must be finite"):
         sweep(tri, [0.5], [float("nan")])
 
 
