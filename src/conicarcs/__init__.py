@@ -11,7 +11,6 @@ centre, and renders scenes to SVG/JSON.
 
 from .arclength import (
     ArcLengthResult,
-    QuadratureSettings,
     arc_length,
     closed_form_circle,
     closed_form_parabola,

@@ -25,7 +25,6 @@ from .errors import ConicError, QuadratureNonConvergence
 from .textfmt import fmt
 
 __all__ = [
-    "QuadratureSettings",
     "ArcLengthResult",
     "arc_length",
     "closed_form_circle",
@@ -36,18 +35,7 @@ __all__ = [
 
 
 _MAX_SUBDIVISIONS = 60
-
-
-@dataclass(frozen=True)
-class QuadratureSettings:
-    rel_tol: float = 1e-12
-
-    def __post_init__(self) -> None:
-        if not (self.rel_tol > 0.0):
-            raise ConicError(f"rel_tol must be > 0, got {self.rel_tol}")
-
-
-DEFAULT_SETTINGS = QuadratureSettings()
+_REL_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -57,13 +45,13 @@ class ArcLengthResult:
     evaluations: int
 
 
-def arc_length(arc: ConicArc, settings: QuadratureSettings = DEFAULT_SETTINGS) -> ArcLengthResult:
+def arc_length(arc: ConicArc) -> ArcLengthResult:
     """Arc length by adaptive quadrature of the polar integrand.
 
     The dimensionless integral over [-beta, beta] is evaluated first and then
     scaled by the semi-latus rectum, so equal (e, k) give bitwise-equal length
     ratios across chords.  Raises ``QuadratureNonConvergence`` if the error
-    estimate still exceeds ``rel_tol * c`` after the subdivision budget,
+    estimate still exceeds 1e-12 * c after the subdivision budget,
     which only happens extremely close to the hyperbola's asymptote domain.
     """
     e = arc.e
@@ -78,14 +66,14 @@ def arc_length(arc: ConicArc, settings: QuadratureSettings = DEFAULT_SETTINGS) -
         -arc.beta,
         arc.beta,
         epsabs=0.0,
-        epsrel=settings.rel_tol,
+        epsrel=_REL_TOL,
         limit=_MAX_SUBDIVISIONS,
         full_output=1,
     )
     value, abserr, info = out[0], out[1], out[2]
     length = arc.p * value
     error = arc.p * abserr
-    if error > settings.rel_tol * abs(length):
+    if error > _REL_TOL * abs(length):
         raise QuadratureNonConvergence(
             f"error estimate {fmt(error)} above tolerance after "
             f"{_MAX_SUBDIVISIONS} subdivisions (e={fmt(e)}, k={fmt(arc.k)})"
@@ -124,7 +112,7 @@ def polyline_length(arc: ConicArc, n: int) -> float:
     return float(np.hypot(seg[:, 0], seg[:, 1]).sum())
 
 
-def g_factor(e: float, k: float, settings: QuadratureSettings = DEFAULT_SETTINGS) -> float:
+def g_factor(e: float, k: float) -> float:
     """Arc length per unit chord: c(l, l/k, e) = g_factor(e, k) * l."""
     _check_feasible(e, k)
-    return arc_length(construct_arc(1.0, 1.0 / k, e), settings).length
+    return arc_length(construct_arc(1.0, 1.0 / k, e)).length

@@ -13,8 +13,6 @@ import math
 import sys
 
 from .arclength import (
-    DEFAULT_SETTINGS,
-    QuadratureSettings,
     arc_length,
     closed_form_circle,
     closed_form_parabola,
@@ -68,7 +66,7 @@ def _cmd_construct(args) -> int:
 
 def _cmd_arclen(args) -> int:
     arc = construct_arc(args.l, args.f, args.e)
-    res = arc_length(arc, QuadratureSettings(args.rel_tol))
+    res = arc_length(arc)
     print(f"length={fmt(res.length)}")
     print(f"error_estimate={fmt(res.error_estimate)}")
     print(f"evaluations={res.evaluations}")
@@ -77,7 +75,7 @@ def _cmd_arclen(args) -> int:
 
 def _cmd_verify(args) -> int:
     tri = make_right_triangle(args.leg2, args.leg3)
-    triple = conic_triple(tri, args.e, args.k, QuadratureSettings(args.rel_tol))
+    triple = conic_triple(tri, args.e, args.k)
     c1, c2, c3 = triple.lengths
     print(f"c1={fmt(c1)}")
     print(f"c2={fmt(c2)}")
@@ -88,7 +86,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_sweep(args) -> int:
     tri = make_right_triangle(args.leg2, args.leg3)
-    rows = sweep(tri, args.e_list, args.k_list, QuadratureSettings(args.rel_tol))
+    rows = sweep(tri, args.e_list, args.k_list)
     sys.stdout.write(sweep_csv(rows))
     return 0
 
@@ -113,7 +111,7 @@ def _cmd_centre(args) -> int:
 
 def _cmd_oracle(args) -> int:
     arc = construct_arc(args.l, args.f, args.e)
-    c = arc_length(arc, QuadratureSettings(args.rel_tol)).length
+    c = arc_length(arc).length
     others = [("polyline", polyline_length(arc, args.n))]
     closed_form = _CLOSED_FORMS.get(arc.conic_class)
     if closed_form is not None:
@@ -137,20 +135,18 @@ def _build_parser() -> _Parser:
 
     num = {"type": _finite, "required": True}
     nums = {"type": _finite_list, "required": True}
-    rel = {"type": _finite, "default": DEFAULT_SETTINGS.rel_tol}
 
     add("construct", _cmd_construct, l=num, f=num, e=num)
-    add("arclen", _cmd_arclen, l=num, f=num, e=num, rel_tol=rel)
-    add("verify", _cmd_verify, leg2=num, leg3=num, e=num, k=num, rel_tol=rel,
+    add("arclen", _cmd_arclen, l=num, f=num, e=num)
+    add("verify", _cmd_verify, leg2=num, leg3=num, e=num, k=num,
         threshold={"type": _finite, "default": 1e-8})
-    add("sweep", _cmd_sweep, leg2=num, leg3=num, e_list=nums, k_list=nums, rel_tol=rel)
+    add("sweep", _cmd_sweep, leg2=num, leg3=num, e_list=nums, k_list=nums)
     add("scene", _cmd_scene, leg2=num, leg3=num, e=num, k=num,
         samples={"type": int, "default": 64},
         format={"choices": ("svg", "json"), "default": "svg"})
     add("centre", _cmd_centre, leg2=num, leg3=num,
         k_list={"type": _finite_list, "default": [4.0, 8.0, 16.0]})
-    add("oracle", _cmd_oracle, l=num, f=num, e=num, n={"type": int, "default": 100000},
-        rel_tol=rel)
+    add("oracle", _cmd_oracle, l=num, f=num, e=num, n={"type": int, "default": 100000})
     return parser
 
 

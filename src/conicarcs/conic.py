@@ -151,7 +151,8 @@ def construct_arc(l: float, f: float, e: float) -> ConicArc:
 
     Checks e, then l and f, then feasibility: raises ``ConicError`` for a bad
     eccentricity or a non-finite or non-positive length, and
-    ``InfeasibleSagitta`` when ``l/f <= feasibility_min_k(e)``.
+    ``InfeasibleSagitta`` when ``l/f <= feasibility_min_k(e)``.  Also raises
+    ``ConicError`` when a dimension of the arc overflows the float range.
     """
     cls = classify(e)
     l, f = float(l), float(f)
@@ -160,14 +161,18 @@ def construct_arc(l: float, f: float, e: float) -> ConicArc:
     if l <= 0.0 or f <= 0.0:
         raise ConicError(f"chord and sagitta must be positive, got l={l}, f={f}")
     k = l / f
-    p, s, a_u, m_u, beta, alpha = _unit_shape(cls, e, k)
+    p_u, s_u, a_u, m_u, beta, alpha = _unit_shape(cls, e, k)
+    p, s, m = l * p_u, l * s_u, l * m_u
     a = b = c_focal = None
     if a_u is not None:
         a = l * a_u
         b = a * math.sqrt(abs(1.0 - e * e))
         c_focal = e * l * a_u
-    return ConicArc(cls, e, l, f, k, a=a, b=b, c_focal=c_focal, m=l * m_u, p=l * p,
-                    s=l * s, beta=beta, alpha=alpha)
+    scaled = (p, s, m) if a is None else (p, s, m, a, b, c_focal)
+    if not all(map(math.isfinite, scaled)):
+        raise ConicError(f"arc dimensions overflow for l={l}, f={f}, e={e}")
+    return ConicArc(cls, e, l, f, k, a=a, b=b, c_focal=c_focal, m=m, p=p, s=s,
+                    beta=beta, alpha=alpha)
 
 
 def centre_half_angle(e: float, k: float) -> float:

@@ -151,8 +151,10 @@ def enveloping_triangle(tri: PlanarTriangle, k: float) -> PlanarTriangle:
     side2 = _offset_side(tri.p1, tri.p2, tri.l2, k, orient)
     side3 = _offset_side(tri.p3, tri.p1, tri.l3, k, orient)
     q1 = _intersect_lines(*side3, *side2)
-    q2 = _intersect_lines(*side2, *side1)
-    q3 = _intersect_lines(*side1, *side3)
+    # Step from Q1 along each leg direction, so Q1Q2 and Q1Q3 stay perpendicular
+    # to rounding even when one leg is far shorter than the hypotenuse.
+    q2 = _intersect_lines(q1, side2[1], *side1)
+    q3 = _intersect_lines(q1, side3[1], *side1)
     return PlanarTriangle(q1, q2, q3)
 
 

@@ -12,7 +12,7 @@ import io
 import math
 from dataclasses import dataclass
 
-from .arclength import DEFAULT_SETTINGS, QuadratureSettings, arc_length
+from .arclength import arc_length
 from .conic import ConicArc, _check_feasible, construct_arc
 from .errors import ConicError, InfeasibleSagitta
 from .homothety import PlanarTriangle, place_triangle
@@ -54,12 +54,7 @@ def pythagorean_residual(triple: ConicTriple) -> float:
     return _residual(*triple.lengths)
 
 
-def conic_triple(
-    tri: PlanarTriangle,
-    e: float,
-    k: float,
-    settings: QuadratureSettings = DEFAULT_SETTINGS,
-) -> ConicTriple:
+def conic_triple(tri: PlanarTriangle, e: float, k: float) -> ConicTriple:
     """Arcs of one (e, k) family on all three sides, with lengths and residual.
 
     Each side i carries the arc with sagitta f_i = l_i / k; infeasible (e, k)
@@ -67,7 +62,7 @@ def conic_triple(
     """
     _check_feasible(e, k)  # rejects k <= 0 before any division
     arcs = tuple(construct_arc(l, l / k, e) for l in (tri.l1, tri.l2, tri.l3))
-    lengths = tuple(arc_length(a, settings).length for a in arcs)
+    lengths = tuple(arc_length(a).length for a in arcs)
     return ConicTriple(e=e, k=k, arcs=arcs, lengths=lengths,
                        residual=_residual(*lengths))
 
@@ -86,12 +81,7 @@ class SweepRow:
     g: float | None = None
 
 
-def sweep(
-    tri: PlanarTriangle,
-    e_values: list[float],
-    k_values: list[float],
-    settings: QuadratureSettings = DEFAULT_SETTINGS,
-) -> list[SweepRow]:
+def sweep(tri: PlanarTriangle, e_values: list[float], k_values: list[float]) -> list[SweepRow]:
     """Evaluate the (e, k) grid in ascending order; infeasible cells are flagged rows."""
     if not e_values or not k_values:
         raise ConicError("e_values and k_values must be non-empty")
@@ -101,7 +91,7 @@ def sweep(
     for e in sorted(e_values):
         for k in sorted(k_values):
             try:
-                t = conic_triple(tri, e, k, settings)
+                t = conic_triple(tri, e, k)
             except InfeasibleSagitta:
                 rows.append(SweepRow(e=e, k=k, feasible=False))
                 continue

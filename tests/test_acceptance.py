@@ -11,7 +11,6 @@ from pytest import approx
 
 from conicarcs import (
     InfeasibleSagitta,
-    QuadratureSettings,
     arc_length,
     centre_half_angle,
     closed_form_circle,
@@ -32,7 +31,6 @@ from conicarcs.cli import main
 GRID_E = [0.0, 0.3, 0.7, 1.0, 1.5, 3.0]
 GRID_K = [4.0, 8.0, 16.0]
 FEASIBLE = [(e, k) for e in GRID_E for k in GRID_K if k > feasibility_min_k(e)]
-SETTINGS = QuadratureSettings(rel_tol=1e-12)
 
 
 def report(n, text):
@@ -45,7 +43,7 @@ def test_criterion_1_quadratic_identity_residual_grid():
     for legs in ((3.0, 4.0), (1.0, 1.0), (5.0, 12.0)):
         tri = make_right_triangle(*legs)
         for e, k in FEASIBLE:
-            triple = conic_triple(tri, e, k, SETTINGS)
+            triple = conic_triple(tri, e, k)
             assert triple.residual < 1e-9
             worst = max(worst, triple.residual)
             cells += 1
@@ -57,7 +55,7 @@ def test_criterion_2_factorization_constant_over_4_decades():
     pairs = [(0.0, 8.0), (0.3, 4.0), (0.7, 16.0), (1.0, 8.0), (1.5, 4.0), (3.0, 8.0)]
     chords = [0.1, 1.0, 5.0, 300.0, 1000.0]
     for e, k in pairs:
-        ratios = [arc_length(construct_arc(l, l / k, e), SETTINGS).length / l for l in chords]
+        ratios = [arc_length(construct_arc(l, l / k, e)).length / l for l in chords]
         for r in ratios[1:]:
             assert r == approx(ratios[0], rel=1e-10)
     report(2, f"c/l constant over l in {chords} for {len(pairs)} (e,k) pairs")
@@ -66,7 +64,7 @@ def test_criterion_2_factorization_constant_over_4_decades():
 def test_criterion_3_oracle_equivalence():
     for e, k in FEASIBLE:
         arc = construct_arc(1.0, 1.0 / k, e)
-        c = arc_length(arc, SETTINGS).length
+        c = arc_length(arc).length
         assert abs(polyline_length(arc, 200000) - c) / c < 1e-6
         if e == 0.0:
             assert abs(closed_form_circle(arc) - c) / c < 1e-11
@@ -78,7 +76,7 @@ def test_criterion_3_oracle_equivalence():
 def test_criterion_4_angle_constancy():
     tri = make_right_triangle(3.0, 4.0)
     for e, k in FEASIBLE:
-        triple = conic_triple(tri, e, k, SETTINGS)
+        triple = conic_triple(tri, e, k)
         betas = [a.beta for a in triple.arcs]
         assert max(betas) - min(betas) < 1e-13
     for e in (0.3, 0.7):
@@ -135,9 +133,9 @@ def test_criterion_7_unified_semi_latus_rectum_and_continuity():
         else:
             per_class = arc.a * (e * e - 1.0)
         assert arc.p == approx(per_class, rel=1e-14)
-    g0 = g_factor(1.0, 8.0, SETTINGS)
-    assert abs(g_factor(1.0 - 1e-6, 8.0, SETTINGS) - g0) < 1e-4
-    assert abs(g_factor(1.0 + 1e-6, 8.0, SETTINGS) - g0) < 1e-4
+    g0 = g_factor(1.0, 8.0)
+    assert abs(g_factor(1.0 - 1e-6, 8.0) - g0) < 1e-4
+    assert abs(g_factor(1.0 + 1e-6, 8.0) - g0) < 1e-4
     report(7, "p/l = k/8 + (1-e^2)/(2k) matches per-class forms; g(.,8) continuous at e=1")
 
 

@@ -11,7 +11,6 @@ from conicarcs import (
     ConicError,
     InfeasibleSagitta,
     QuadratureNonConvergence,
-    QuadratureSettings,
     arc_length,
     closed_form_circle,
     closed_form_parabola,
@@ -41,11 +40,6 @@ def parametric_oracle(arc):
         raise AssertionError("oracle covers central conics without closed forms")
     value, _ = quad(ds, -t1, t1, epsabs=0.0, epsrel=1e-13, limit=200)
     return value
-
-
-def test_settings_validation():
-    with pytest.raises(ValueError):
-        QuadratureSettings(rel_tol=0.0)
 
 
 def test_circle_semicircle_limit():

@@ -20,6 +20,7 @@ from conicarcs import (
     polar_radius,
     sample_points,
 )
+from conicarcs.cli import main
 
 # (e, k) cells used for property checks; all feasible.
 GRID = [(0.0, 4.0), (0.0, 8.0), (0.3, 4.0), (0.7, 8.0), (1.0, 4.0),
@@ -76,6 +77,27 @@ def test_construct_rejects_nonpositive_lengths():
 def test_construct_validation_order(l, f, e, message):
     with pytest.raises(ConicError, match=message):
         construct_arc(l, f, e)
+
+
+@pytest.mark.parametrize("l,f,e", [
+    (1e300, 1e-300, 0.5),  # k = l/f overflows
+    (1e300, 1e-7, 0.0),    # p = l * p/l overflows
+    (1e300, 1e-7, 0.5),
+    (1e300, 1e-7, 1.0),
+    (1e300, 1e-7, 2.0),
+])
+def test_construct_rejects_overflowing_arc(capsys, l, f, e):
+    with pytest.raises(ConicError, match="arc dimensions overflow"):
+        construct_arc(l, f, e)
+    assert main(["arclen", "--l", repr(l), "--f", repr(f), "--e", repr(e)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "arc dimensions overflow" in err
+
+
+def test_construct_huge_parabola_stays_finite():
+    arc = construct_arc(2e154, 1.0, 1.0)
+    assert all(math.isfinite(v) for v in (arc.p, arc.s, arc.m))
 
 
 def test_construct_infeasible_sagitta_message_names_bound():

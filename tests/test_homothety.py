@@ -10,6 +10,7 @@ from conicarcs import (
     PlanarTriangle,
     Point,
     altitude_from_right_angle,
+    build_scene,
     conic_triple,
     enveloping_triangle,
     homothety_ratio,
@@ -144,6 +145,18 @@ def test_enveloping_triangle_large_k_limit():
     env = enveloping_triangle(tri, 1e8)
     for orig, img in ((tri.p1, env.p1), (tri.p2, env.p2), (tri.p3, env.p3)):
         assert dist(orig, img) < 1e-6 * tri.l1
+
+
+@pytest.mark.parametrize("legs", [(1000.0, 0.01), (0.01, 1000.0)])
+@pytest.mark.parametrize("k", [1e5, 1e8])
+def test_skinny_triangle_envelope_stays_right_angled(legs, k):
+    tri = place_triangle(*legs)
+    assert verify_homothety(tri, k).max_deviation <= 1e-12 * tri.l1
+    c, s = math.cos(0.6), math.sin(0.6)
+    rotated = PlanarTriangle(*(Point(c * p.x - s * p.y, s * p.x + c * p.y)
+                               for p in (tri.p1, tri.p2, tri.p3)))
+    verify_homothety(rotated, k)
+    build_scene(rotated, 0.5, k, 16)
 
 
 def test_enveloping_triangle_rejects_bad_k():
