@@ -51,8 +51,9 @@ def arc_length(arc: ConicArc) -> ArcLengthResult:
     The dimensionless integral over [-beta, beta] is evaluated first and then
     scaled by the semi-latus rectum, so equal (e, k) give bitwise-equal length
     ratios across chords.  Raises ``QuadratureNonConvergence`` if the error
-    estimate still exceeds 1e-12 * c after the subdivision budget,
-    which only happens extremely close to the hyperbola's asymptote domain.
+    estimate of the integral still exceeds 1e-12 of its value after the
+    subdivision budget, which only happens extremely close to the hyperbola's
+    asymptote domain.
     """
     e = arc.e
     esq = e * e
@@ -71,14 +72,14 @@ def arc_length(arc: ConicArc) -> ArcLengthResult:
         full_output=1,
     )
     value, abserr, info = out[0], out[1], out[2]
-    length = arc.p * value
-    error = arc.p * abserr
-    if error > _REL_TOL * abs(length):
+    # judged before scaling by p, so an underflowing p cannot hide a failure; NaN fails too
+    if not abserr <= _REL_TOL * value:
         raise QuadratureNonConvergence(
-            f"error estimate {fmt(error)} above tolerance after "
+            f"relative error estimate {fmt(abserr / value)} above {_REL_TOL!r} after "
             f"{_MAX_SUBDIVISIONS} subdivisions (e={fmt(e)}, k={fmt(arc.k)})"
         )
-    return ArcLengthResult(length=length, error_estimate=error, evaluations=int(info["neval"]))
+    return ArcLengthResult(length=arc.p * value, error_estimate=arc.p * abserr,
+                           evaluations=int(info["neval"]))
 
 
 def closed_form_circle(arc: ConicArc) -> float:

@@ -152,7 +152,8 @@ def construct_arc(l: float, f: float, e: float) -> ConicArc:
     Checks e, then l and f, then feasibility: raises ``ConicError`` for a bad
     eccentricity or a non-finite or non-positive length, and
     ``InfeasibleSagitta`` when ``l/f <= feasibility_min_k(e)``.  Also raises
-    ``ConicError`` when a dimension of the arc overflows the float range.
+    ``ConicError`` when a dimension of the arc overflows the float range or
+    the semi-latus rectum ``p`` underflows to 0.
     """
     cls = classify(e)
     l, f = float(l), float(f)
@@ -171,6 +172,8 @@ def construct_arc(l: float, f: float, e: float) -> ConicArc:
     scaled = (p, s, m) if a is None else (p, s, m, a, b, c_focal)
     if not all(map(math.isfinite, scaled)):
         raise ConicError(f"arc dimensions overflow for l={l}, f={f}, e={e}")
+    if p == 0.0:
+        raise ConicError(f"semi-latus rectum underflows to 0 for l={l}, f={f}, e={e}")
     return ConicArc(cls, e, l, f, k, a=a, b=b, c_focal=c_focal, m=m, p=p, s=s,
                     beta=beta, alpha=alpha)
 

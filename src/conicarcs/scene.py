@@ -21,7 +21,7 @@ from .homothety import (
     enveloping_triangle,
     pythagorean_centre,
 )
-from .textfmt import fmt
+from .textfmt import fmt, fmt_rows
 
 __all__ = ["Scene", "build_scene", "scene_to_json", "scene_to_svg"]
 
@@ -86,17 +86,15 @@ def scene_to_json(scene: Scene) -> str:
     """JSON document with one point array per layer, floats at 17 significant digits."""
     parts = []
     for name, pts in scene.layers():
-        body = ", ".join(f"[{fmt(x)}, {fmt(y)}]" for x, y in pts)
+        body = fmt_rows(pts, "[%.17g, %.17g]", ", ")
         parts.append(f'  "{name}": [{body}]')
     return "{\n" + ",\n".join(parts) + "\n}\n"
 
 
 def _path(pts: np.ndarray, closed: bool) -> str:
     # SVG y grows downward; negate to keep the drawing upright.
-    cmds = [f"{'M' if i == 0 else 'L'} {fmt(x)} {fmt(-y)}" for i, (x, y) in enumerate(pts)]
-    if closed:
-        cmds.append("Z")
-    return " ".join(cmds)
+    d = "M " + fmt_rows(pts * (1.0, -1.0), "%.17g %.17g", " L ")
+    return d + " Z" if closed else d
 
 
 def scene_to_svg(scene: Scene) -> str:

@@ -1,5 +1,6 @@
 """Quadrature vs closed forms, brute-force polylines, and the g(e, k) factor."""
 
+import dataclasses
 import math
 
 import pytest
@@ -173,3 +174,14 @@ def test_nonconvergence_near_asymptote_domain():
     k = feasibility_min_k(e) * (1.0 + 1e-6)
     with pytest.raises(QuadratureNonConvergence):
         arc_length(construct_arc(1.0, 1.0 / k, e))
+
+
+def test_nonconvergence_judged_before_scaling():
+    # the integral fails to converge at the k of arclen --l 2.6472860049620684e-159
+    # --f 3.420752431176742e+74 --e 1; with p = 0 the scaled error estimate (0)
+    # is no larger than the scaled tolerance (0), and the failure must still show
+    k = 2.6472860049620684e-159 / 3.420752431176742e+74
+    arc = construct_arc(1.0, 1.0 / k, 1.0)
+    for p in (arc.p, 0.0):
+        with pytest.raises(QuadratureNonConvergence, match="relative error estimate"):
+            arc_length(dataclasses.replace(arc, p=p))

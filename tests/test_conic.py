@@ -95,6 +95,19 @@ def test_construct_rejects_overflowing_arc(capsys, l, f, e):
     assert "arc dimensions overflow" in err
 
 
+@pytest.mark.parametrize("l,f,e", [
+    (2.6472860049620684e-159, 3.420752431176742e+74, 1.0),  # true length ~2f, not 0
+    (5e-324, 5e-324, 1.0),
+])
+def test_construct_rejects_underflowing_arc(capsys, l, f, e):
+    with pytest.raises(ConicError, match="semi-latus rectum underflows"):
+        construct_arc(l, f, e)
+    assert main(["arclen", "--l", repr(l), "--f", repr(f), "--e", repr(e)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "semi-latus rectum underflows" in err
+
+
 def test_construct_huge_parabola_stays_finite():
     arc = construct_arc(2e154, 1.0, 1.0)
     assert all(math.isfinite(v) for v in (arc.p, arc.s, arc.m))

@@ -1,5 +1,6 @@
 """Scene assembly and its JSON/SVG serializations."""
 
+import hashlib
 import json
 import math
 
@@ -16,6 +17,7 @@ from conicarcs import (
     scene_to_json,
     scene_to_svg,
 )
+from conicarcs.textfmt import fmt, fmt_rows
 
 
 @pytest.fixture()
@@ -129,3 +131,40 @@ def test_svg_structure_and_determinism(tri):
     assert 'fill="none"' in doc
     order = [field.split('"')[0] for field in doc.split('<path id="')[1:]]
     assert order == ["triangle", "arc1", "arc2", "arc3", "envelope", "altitude", "centre"]
+
+
+# SHA-256 of (SVG, JSON) from the per-coordinate emitters these replaced; the
+# points come from numpy sin/cos, which match libm bit for bit.
+PINNED = [
+    ((4.0, 3.0), 0.0, 8.0, 64,
+     "2d7c82c146974eee0199d7efb2ff62baf29e64b760b6504b5387cd9ec725b07e",
+     "d59ebe4049a603a2871b552f43e89beb2c7ec46de847e1f78b29c08d3bb4d687"),
+    ((4.0, 3.0), 0.5, 8.0, 64,
+     "f58e107f6da8c4ec642f5e8835cd49c4fe4ce5dbeb134c76106fd50130712b95",
+     "39bd0545d08c320b94990b4dd3a965a2c8ed1f2379f1bdaba3eebc3a2c425e9f"),
+    ((4.0, 3.0), 1.0, 8.0, 64,
+     "889230cd27663bc1a1d9eabfeaa4da3393c4aec6a1a63a992e697ed4d5f3fb59",
+     "7c1ed3ff840a12f5202759fc2c668d9e69379bd98dfe4993be586cf5a0f6c870"),
+    ((4.0, 3.0), 2.0, 8.0, 64,
+     "838f853457035ab245f057de8a1d906211babbab38862f64061f9658fba1a680",
+     "e583d08afccefbcf62dcd4c4ee3e14230ba766f35ec1d54aac9f64e66d3e2723"),
+    ((3.0, 7.0), 1.5, 5.0, 1024,
+     "5af22d23ba85aaa0bef1db2836472653284a077dc267e940142aff751b33fdcd",
+     "b433069200ebd3b75974371cda91eea62408a48c204ff382e470a4100439d57e"),
+]
+
+
+@pytest.mark.parametrize("legs,e,k,samples,svg_sha,json_sha", PINNED)
+def test_emitters_byte_identical(legs, e, k, samples, svg_sha, json_sha):
+    scene = build_scene(place_triangle(*legs), e, k, samples)
+    assert hashlib.sha256(scene_to_svg(scene).encode()).hexdigest() == svg_sha
+    assert hashlib.sha256(scene_to_json(scene).encode()).hexdigest() == json_sha
+
+
+def test_fmt_rows_matches_fmt():
+    values = [0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308,
+              1e16, 2.0**53 + 2, 0.1, -0.1]
+    pts = np.array(values).reshape(-1, 2)
+    expected = " | ".join(f"<{fmt(x)};{fmt(y)}>" for x, y in pts)
+    assert fmt_rows(pts, "<%.17g;%.17g>", " | ") == expected
+    assert fmt_rows(-pts, "%.17g %.17g", " ") == " ".join(fmt(-v) for v in values)
