@@ -9,6 +9,7 @@ identical input yields byte-identical output.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -21,7 +22,7 @@ from .homothety import (
     enveloping_triangle,
     pythagorean_centre,
 )
-from .textfmt import fmt, fmt_rows
+from .textfmt import fmt, fmt_rows, negate_y_rows
 
 __all__ = ["Scene", "build_scene", "scene_to_json", "scene_to_svg"]
 
@@ -45,6 +46,15 @@ class Scene:
             ("altitude", self.altitude),
             ("centre", self.centre.reshape(1, 2)),
         ]
+
+    @cached_property
+    def rows(self) -> tuple[str, ...]:
+        """Each layer's points as ``"x y\\n"`` rows at 17 digits, in ``layers()`` order.
+
+        Formatted on first use and kept, so the SVG and JSON emitters share one
+        formatting pass.  Not a field: ``==`` and ``dataclasses.replace`` ignore it.
+        """
+        return tuple(fmt_rows(pts, "%.17g %.17g\n", "") for _, pts in self.layers())
 
 
 def _arc_on_side(a: Point, b: Point, length: float, sagitta: float, e: float,
@@ -85,23 +95,18 @@ def build_scene(tri: PlanarTriangle, e: float, k: float, samples: int) -> Scene:
 def scene_to_json(scene: Scene) -> str:
     """JSON document with one point array per layer, floats at 17 significant digits."""
     parts = []
-    for name, pts in scene.layers():
-        body = fmt_rows(pts, "[%.17g, %.17g]", ", ")
-        parts.append(f'  "{name}": [{body}]')
+    for (name, _), rows in zip(scene.layers(), scene.rows):
+        body = rows[:-1].replace(" ", ", ").replace("\n", "], [")
+        parts.append(f'  "{name}": [[{body}]]')
     return "{\n" + ",\n".join(parts) + "\n}\n"
-
-
-def _path(pts: np.ndarray, closed: bool) -> str:
-    # SVG y grows downward; negate to keep the drawing upright.
-    d = "M " + fmt_rows(pts * (1.0, -1.0), "%.17g %.17g", " L ")
-    return d + " Z" if closed else d
 
 
 def scene_to_svg(scene: Scene) -> str:
     """Stroke-only SVG, one path per layer, viewBox = scene bounds + 5% margin."""
     all_pts = np.vstack([pts for _, pts in scene.layers()])
-    lo = all_pts.min(axis=0)
-    hi = all_pts.max(axis=0)
+    xs, ys = all_pts[:, 0], all_pts[:, 1]  # one column at a time: far faster than axis=0
+    lo = (xs.min(), ys.min())
+    hi = (xs.max(), ys.max())
     pad = 0.05 * max(hi[0] - lo[0], hi[1] - lo[1])
     width = hi[0] - lo[0] + 2.0 * pad
     height = hi[1] - lo[1] + 2.0 * pad
@@ -110,15 +115,17 @@ def scene_to_svg(scene: Scene) -> str:
     tick = 0.02 * max(width, height)
 
     paths = []
-    for name, pts in scene.layers():
+    for (name, pts), rows in zip(scene.layers(), scene.rows):
         if name == "centre":
             cx, cy = pts[0, 0], -pts[0, 1]
             d = (f"M {fmt(cx - tick)} {fmt(cy - tick)} L {fmt(cx + tick)} {fmt(cy + tick)} "
                  f"M {fmt(cx - tick)} {fmt(cy + tick)} L {fmt(cx + tick)} {fmt(cy - tick)}")
-        else:
-            d = _path(pts, closed=name in ("triangle", "envelope"))
+        else:  # SVG y grows downward; negate to keep the drawing upright
+            d = "M " + negate_y_rows(rows, pts[:, 1])[:-1].replace("\n", " L ")
+            if name in ("triangle", "envelope"):
+                d += " Z"
         paths.append(f'  <path id="{name}" d="{d}" fill="none" stroke="black" '
                      f'stroke-width="{fmt(stroke)}"/>')
 
     head = f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="{view}">'
-    return "\n".join(['<?xml version="1.0" encoding="UTF-8"?>', head, *paths, "</svg>"]) + "\n"
+    return "\n".join(['<?xml version="1.0" encoding="UTF-8"?>', head, *paths, "</svg>", ""])

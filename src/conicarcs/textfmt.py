@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["fmt", "fmt_rows"]
+__all__ = ["fmt", "fmt_rows", "negate_y_rows"]
 
 
 def fmt(value: float) -> str:
@@ -25,3 +25,21 @@ def fmt_rows(pts: np.ndarray, row: str, sep: str) -> str:
     """
     flat = (pts + 0.0).ravel().tolist()  # +0.0 folds -0.0 into 0.0, as in fmt
     return sep.join([row] * len(pts)) % tuple(flat)
+
+
+def negate_y_rows(rows: str, ys: np.ndarray) -> str:
+    """``fmt_rows`` text of (x, y) rows with every y negated as text, as ``fmt(-y)`` prints it.
+
+    ``rows`` holds one ``"x y\\n"`` row per value of ``ys``.  A y token follows
+    the only space of its row (``%.17g`` never prints a space or a newline):
+    negation drops its leading ``-`` and gives anything else one, except ``0``
+    (``fmt`` folds -0.0) and ``nan`` (printed without a sign).  ``ys`` only
+    counts each kind of value, so that every pass over the text stops at the
+    last row it has to change, and a pass with nothing to change never runs.
+    """
+    negative, zero, nan = (np.count_nonzero(m) for m in (ys < 0, ys == 0, np.isnan(ys)))
+    if negative + zero + nan == len(ys):  # no positive y: dropping each "-" is all
+        return rows.replace(" -", " ", negative)
+    text = rows.replace(" ", " -")
+    text = text.replace(" --", " ", negative)
+    return text.replace(" -0\n", " 0\n", zero).replace(" -nan\n", " nan\n", nan)

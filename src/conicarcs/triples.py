@@ -46,11 +46,14 @@ class ConicTriple:
 
 
 def _residual(c1: float, c2: float, c3: float) -> float:
-    return abs(c1 * c1 - c2 * c2 - c3 * c3) / (c1 * c1)
+    # Ratios to the largest length c1 cannot overflow, and their squares only
+    # underflow where they are negligible next to 1; squaring c1 itself would.
+    r2, r3 = c2 / c1, c3 / c1
+    return abs(1.0 - r2 * r2 - r3 * r3)
 
 
 def pythagorean_residual(triple: ConicTriple) -> float:
-    """Relative defect |c1^2 - c2^2 - c3^2| / c1^2 of the stored lengths."""
+    """Relative defect |1 - (c2/c1)^2 - (c3/c1)^2| of the stored lengths."""
     return _residual(*triple.lengths)
 
 

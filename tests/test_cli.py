@@ -66,6 +66,24 @@ def test_verify_fail_exit_2(capsys):
     assert "residual=" in out
 
 
+@pytest.mark.parametrize("legs", [("3e170", "4e170"), ("3e-170", "4e-170")])
+def test_verify_residual_at_float_range_ends(capsys, legs):
+    # squaring lengths near 1e170 overflows and near 1e-170 underflows to 0
+    code, out, _ = run(capsys, "verify", "--leg2", legs[0], "--leg3", legs[1],
+                       "--e", "1", "--k", "8")
+    assert code == 0
+    assert float(dict(line.split("=") for line in out.splitlines())["residual"]) < 1e-10
+
+
+def test_sweep_residual_with_legs_far_apart(capsys):
+    code, out, _ = run(capsys, "sweep", "--leg2", "2.6316502917382712e+172",
+                       "--leg3", "1.1986423241946675e-278", "--e-list", "2",
+                       "--k-list", "548553.6234063043")
+    assert code == 0
+    row = dict(zip(*(line.split(",") for line in out.splitlines())))
+    assert float(row["residual"]) < 1e-10
+
+
 def test_verify_infeasible_exit_3(capsys):
     code, _, err = run(capsys, "verify", "--leg2", "3", "--leg3", "4", "--e", "2", "--k", "3")
     assert code == 3

@@ -1,8 +1,10 @@
 """Scene assembly and its JSON/SVG serializations."""
 
+import dataclasses
 import hashlib
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from pytest import approx
 
 from conicarcs import (
     InfeasibleSagitta,
+    Scene,
     build_scene,
     construct_arc,
     place_triangle,
@@ -17,7 +20,7 @@ from conicarcs import (
     scene_to_json,
     scene_to_svg,
 )
-from conicarcs.textfmt import fmt, fmt_rows
+from conicarcs.textfmt import fmt, fmt_rows, negate_y_rows
 
 
 @pytest.fixture()
@@ -151,6 +154,9 @@ PINNED = [
     ((3.0, 7.0), 1.5, 5.0, 1024,
      "5af22d23ba85aaa0bef1db2836472653284a077dc267e940142aff751b33fdcd",
      "b433069200ebd3b75974371cda91eea62408a48c204ff382e470a4100439d57e"),
+    ((4.0, 3.0), 1.5, 5.0, 8192,
+     "a3daea3ad2bb170fa8853932af439fdc824c3a1e6c5d3115a86988e25e9bdcda",
+     "395954089a34aa608f83056cfba2a8f3bd5254cc42506870032b4acd672913f3"),
 ]
 
 
@@ -161,10 +167,71 @@ def test_emitters_byte_identical(legs, e, k, samples, svg_sha, json_sha):
     assert hashlib.sha256(scene_to_json(scene).encode()).hexdigest() == json_sha
 
 
+EDGE = [0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308,
+        math.inf, -math.inf, math.nan, 1e16, 2.0**53 + 2, 0.1, -0.1]
+
+
 def test_fmt_rows_matches_fmt():
-    values = [0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308,
-              1e16, 2.0**53 + 2, 0.1, -0.1]
+    values = EDGE[:6] + EDGE[9:]
     pts = np.array(values).reshape(-1, 2)
     expected = " | ".join(f"<{fmt(x)};{fmt(y)}>" for x, y in pts)
     assert fmt_rows(pts, "<%.17g;%.17g>", " | ") == expected
     assert fmt_rows(-pts, "%.17g %.17g", " ") == " ".join(fmt(-v) for v in values)
+
+
+@pytest.mark.parametrize("y", EDGE)
+@pytest.mark.parametrize("x", [0.0, -1.0, math.nan])
+def test_negate_y_rows_matches_fmt(x, y):
+    assert negate_y_rows(f"{fmt(x)} {fmt(y)}\n", np.array([y])) == f"{fmt(x)} {fmt(-y)}\n"
+
+
+@pytest.mark.parametrize("kinds", range(1, 16))
+def test_negate_y_rows_every_mix_of_kinds(kinds):
+    # which passes run depends on which of these four kinds of y occur
+    groups = ([-0.1, -math.inf, -5e-324], [0.1, math.inf, 2.0**53 + 2], [0.0, -0.0], [math.nan])
+    ys = [y for bit, group in enumerate(groups) if kinds >> bit & 1 for y in group]
+    pts = np.array([(float(i), y) for i, y in enumerate(ys)])
+    expected = "".join(f"{fmt(x)} {fmt(-y)}\n" for x, y in pts)
+    assert negate_y_rows(fmt_rows(pts, "%.17g %.17g\n", ""), pts[:, 1]) == expected
+
+
+def edge_scene() -> Scene:
+    grid = np.array([(x, y) for x in EDGE for y in EDGE])
+    return Scene(triangle=grid[:3], arcs=(grid, grid[::-1], grid[::7]), envelope=grid[-3:],
+                 altitude=grid[40:42], centre=np.array([-0.0, math.nan]))
+
+
+def test_emitters_match_per_coordinate_fmt_on_edge_values():
+    scene = edge_scene()
+    layers = scene.layers()
+    expected_json = "{\n" + ",\n".join(
+        f'  "{name}": [' + ", ".join(f"[{fmt(x)}, {fmt(y)}]" for x, y in pts) + "]"
+        for name, pts in layers) + "\n}\n"
+    assert scene_to_json(scene) == expected_json
+    paths = dict(re.findall(r'<path id="(\w+)" d="([^"]*)"', scene_to_svg(scene)))
+    for name, pts in layers[:-1]:  # the centre is a mark, not its points
+        d = "M " + " L ".join(f"{fmt(x)} {fmt(-y)}" for x, y in pts)
+        assert paths[name] == (d + " Z" if name in ("triangle", "envelope") else d)
+
+
+@pytest.mark.parametrize("make", [edge_scene, lambda: build_scene(place_triangle(3.0, 7.0),
+                                                                  0.5, 4.0, 256)])
+def test_emitters_independent_of_call_order(make):
+    first, second = make(), make()
+    svg, doc = scene_to_svg(first), scene_to_json(first)
+    assert (scene_to_json(second), scene_to_svg(second)) == (doc, svg)
+    assert (scene_to_svg(first), scene_to_json(first)) == (svg, doc)
+    assert (scene_to_svg(second), scene_to_json(second)) == (svg, doc)
+
+
+def test_cached_rows_are_not_a_field(tri):
+    scene = build_scene(tri, 1.0, 8.0, 16)
+    scene_to_json(scene)  # fills the cache
+    assert "rows" in vars(scene)
+    assert "rows" not in [f.name for f in dataclasses.fields(Scene)]
+    copy = dataclasses.replace(scene)
+    assert "rows" not in vars(copy)
+    assert copy == scene and scene == copy
+    moved = dataclasses.replace(scene, centre=np.array([9.0, -9.0]))
+    assert '"centre": [[9, -9]]' in scene_to_json(moved)
+    assert f'"centre": [[{fmt(scene.centre[0])}, {fmt(scene.centre[1])}]]' in scene_to_json(scene)
