@@ -17,9 +17,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-from scipy.integrate import quad
-
 from .conic import ConicArc, ConicClass, _check_feasible, construct_arc, sample_points
 from .errors import ConicError, QuadratureNonConvergence
 from .textfmt import fmt
@@ -36,6 +33,44 @@ __all__ = [
 
 _MAX_SUBDIVISIONS = 60
 _REL_TOL = 1e-12
+
+
+def _qagse(func, a, b, args, full_output, epsabs, epsrel, limit):
+    """QUADPACK's QAGS on a finite [a, b]: ``(value, abserr, info, ...)``.
+
+    The routine ``scipy.integrate.quad`` runs for a finite interval, called with
+    the same arguments in the same order, so the results are bitwise the same.
+    It is loaded on the first call and bound here in its place.
+    """
+    global _qagse
+    _qagse = _load_qagse()
+    return _qagse(func, a, b, args, full_output, epsabs, epsrel, limit)
+
+
+def _load_qagse():
+    """``_qagse`` of scipy's compiled QUADPACK module, loaded without ``scipy.integrate``.
+
+    Importing ``scipy.integrate`` loads scipy.special, scipy.optimize, scipy.sparse
+    and scipy.linalg, about three quarters of a second; the compiled module needs
+    only numpy.  Where it is not found, ``scipy.integrate.quad`` takes its place.
+    """
+    import os
+    from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
+    from importlib.util import module_from_spec
+
+    import scipy
+
+    finder = FileFinder(os.path.join(scipy.__path__[0], "integrate"),
+                        (ExtensionFileLoader, EXTENSION_SUFFIXES))
+    spec = finder.find_spec("scipy.integrate._quadpack")
+    if spec is not None:
+        module = module_from_spec(spec)
+        spec.loader.exec_module(module)
+        if hasattr(module, "_qagse"):
+            return module._qagse
+    from scipy.integrate import quad
+
+    return quad
 
 
 @dataclass(frozen=True)
@@ -62,15 +97,7 @@ def arc_length(arc: ConicArc) -> ArcLengthResult:
         denom = 1.0 + e * math.cos(theta)
         return math.sqrt(1.0 + 2.0 * e * math.cos(theta) + esq) / (denom * denom)
 
-    out = quad(
-        integrand,
-        -arc.beta,
-        arc.beta,
-        epsabs=0.0,
-        epsrel=_REL_TOL,
-        limit=_MAX_SUBDIVISIONS,
-        full_output=1,
-    )
+    out = _qagse(integrand, -arc.beta, arc.beta, (), 1, 0.0, _REL_TOL, _MAX_SUBDIVISIONS)
     value, abserr, info = out[0], out[1], out[2]
     # judged before scaling by p, so an underflowing p cannot hide a failure; NaN fails too
     if not abserr <= _REL_TOL * value:
@@ -108,6 +135,8 @@ def polyline_length(arc: ConicArc, n: int) -> float:
     Non-decreasing under subdivision doubling and converges to the true arc
     length from below.
     """
+    import numpy as np
+
     pts = sample_points(arc, n)
     seg = np.diff(pts, axis=0)
     return float(np.hypot(seg[:, 0], seg[:, 1]).sum())

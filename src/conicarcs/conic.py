@@ -27,11 +27,13 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import ConicError, InfeasibleSagitta
 from .textfmt import fmt
+
+if TYPE_CHECKING:  # imported where used, so that `import conicarcs` loads no numpy
+    import numpy as np
 
 __all__ = [
     "ConicClass",
@@ -213,6 +215,8 @@ def sample_points(arc: ConicArc, n: int) -> np.ndarray:
     """
     if n < 2:
         raise ConicError(f"need n >= 2 samples, got {n}")
+    import numpy as np
+
     theta = np.linspace(-arc.beta, arc.beta, n + 1)
     if n % 2 == 0:
         theta[n // 2] = 0.0

@@ -10,8 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .conic import _check_feasible, construct_arc, sample_points
 from .homothety import (
@@ -23,6 +22,9 @@ from .homothety import (
     pythagorean_centre,
 )
 from .textfmt import fmt, fmt_rows, negate_y_rows
+
+if TYPE_CHECKING:  # imported where used, so that `import conicarcs` loads no numpy
+    import numpy as np
 
 __all__ = ["Scene", "build_scene", "scene_to_json", "scene_to_svg"]
 
@@ -47,6 +49,14 @@ class Scene:
             ("centre", self.centre.reshape(1, 2)),
         ]
 
+    def __eq__(self, other) -> bool:
+        """Equal when every layer holds the same shape and values."""
+        if not isinstance(other, Scene):
+            return NotImplemented
+        import numpy as np
+
+        return all(np.array_equal(a, b) for (_, a), (_, b) in zip(self.layers(), other.layers()))
+
     @cached_property
     def rows(self) -> tuple[str, ...]:
         """Each layer's points as ``"x y\\n"`` rows at 17 digits, in ``layers()`` order.
@@ -59,6 +69,8 @@ class Scene:
 
 def _arc_on_side(a: Point, b: Point, length: float, sagitta: float, e: float,
                  samples: int, orient: float) -> np.ndarray:
+    import numpy as np
+
     arc = construct_arc(length, sagitta, e)
     pts = sample_points(arc, samples)
     mid = np.array([(a.x + b.x) / 2.0, (a.y + b.y) / 2.0])
@@ -69,6 +81,8 @@ def _arc_on_side(a: Point, b: Point, length: float, sagitta: float, e: float,
 
 def build_scene(tri: PlanarTriangle, e: float, k: float, samples: int) -> Scene:
     """Assemble the full drawing for one (e, k) family on an embedded triangle."""
+    import numpy as np
+
     _check_feasible(e, k)  # rejects k <= 0 before any division
     orient = _orientation(tri)
     sides = (
@@ -103,6 +117,8 @@ def scene_to_json(scene: Scene) -> str:
 
 def scene_to_svg(scene: Scene) -> str:
     """Stroke-only SVG, one path per layer, viewBox = scene bounds + 5% margin."""
+    import numpy as np
+
     all_pts = np.vstack([pts for _, pts in scene.layers()])
     xs, ys = all_pts[:, 0], all_pts[:, 1]  # one column at a time: far faster than axis=0
     lo = (xs.min(), ys.min())

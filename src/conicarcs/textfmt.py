@@ -7,7 +7,10 @@ to keep repeated runs byte-identical.
 
 from __future__ import annotations
 
-import numpy as np
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:  # imported where used, so that `import conicarcs` loads no numpy
+    import numpy as np
 
 __all__ = ["fmt", "fmt_rows", "negate_y_rows"]
 
@@ -37,6 +40,8 @@ def negate_y_rows(rows: str, ys: np.ndarray) -> str:
     counts each kind of value, so that every pass over the text stops at the
     last row it has to change, and a pass with nothing to change never runs.
     """
+    import numpy as np
+
     negative, zero, nan = (np.count_nonzero(m) for m in (ys < 0, ys == 0, np.isnan(ys)))
     if negative + zero + nan == len(ys):  # no positive y: dropping each "-" is all
         return rows.replace(" -", " ", negative)

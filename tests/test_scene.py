@@ -235,3 +235,13 @@ def test_cached_rows_are_not_a_field(tri):
     moved = dataclasses.replace(scene, centre=np.array([9.0, -9.0]))
     assert '"centre": [[9, -9]]' in scene_to_json(moved)
     assert f'"centre": [[{fmt(scene.centre[0])}, {fmt(scene.centre[1])}]]' in scene_to_json(scene)
+
+
+def test_scenes_compare_layers_by_value(tri):
+    scene, again = build_scene(tri, 1.0, 8.0, 16), build_scene(tri, 1.0, 8.0, 16)
+    assert scene == again and not scene != again
+    assert scene != dataclasses.replace(scene, centre=np.array([9.0, -9.0]))
+    assert scene != build_scene(tri, 1.0, 8.0, 32)
+    assert scene != scene.layers() and scene.__eq__(scene.layers()) is NotImplemented
+    with pytest.raises(TypeError):
+        hash(scene)
