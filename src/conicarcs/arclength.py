@@ -94,8 +94,10 @@ def arc_length(arc: ConicArc) -> ArcLengthResult:
     esq = e * e
 
     def integrand(theta: float) -> float:
-        denom = 1.0 + e * math.cos(theta)
-        return math.sqrt(1.0 + 2.0 * e * math.cos(theta) + esq) / (denom * denom)
+        # 2.0 * c rounds as 2.0 * e * cos(theta) did: doubling is exact
+        c = e * math.cos(theta)
+        denom = 1.0 + c
+        return math.sqrt(1.0 + 2.0 * c + esq) / (denom * denom)
 
     out = _qagse(integrand, -arc.beta, arc.beta, (), 1, 0.0, _REL_TOL, _MAX_SUBDIVISIONS)
     value, abserr, info = out[0], out[1], out[2]

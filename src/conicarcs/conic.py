@@ -176,8 +176,13 @@ def construct_arc(l: float, f: float, e: float) -> ConicArc:
         raise ConicError(f"arc dimensions overflow for l={l}, f={f}, e={e}")
     if p == 0.0:
         raise ConicError(f"semi-latus rectum underflows to 0 for l={l}, f={f}, e={e}")
-    return ConicArc(cls, e, l, f, k, a=a, b=b, c_focal=c_focal, m=m, p=p, s=s,
-                    beta=beta, alpha=alpha)
+    # The frozen dataclass __init__ sets each of the 13 fields through
+    # object.__setattr__, about 4x the cost of one dict update; a sweep cell
+    # builds three arcs.  The instance is the same as ConicArc(...) would give.
+    arc = object.__new__(ConicArc)
+    arc.__dict__.update(conic_class=cls, e=e, l=l, f=f, k=k, a=a, b=b, c_focal=c_focal,
+                        m=m, p=p, s=s, beta=beta, alpha=alpha)
+    return arc
 
 
 def centre_half_angle(e: float, k: float) -> float:
@@ -220,9 +225,15 @@ def sample_points(arc: ConicArc, n: int) -> np.ndarray:
     theta = np.linspace(-arc.beta, arc.beta, n + 1)
     if n % 2 == 0:
         theta[n // 2] = 0.0
-    r = arc.p / (1.0 + arc.e * np.cos(theta))
-    pts = np.column_stack((r * np.sin(theta), r * np.cos(theta) - arc.s))
+    # Only the interior angles go through the polar form: at +-beta the
+    # denominator 1 + e cos(beta) can round to 0 (a parabola with tiny k).
+    # cos and sin run on the whole array, so each interior value is the one
+    # the same call gives for the full set of angles.
+    r = arc.p / (1.0 + arc.e * np.cos(theta)[1:-1])
+    pts = np.empty((n + 1, 2))
     pts[0] = (-arc.l / 2.0, 0.0)
+    pts[1:-1, 0] = r * np.sin(theta)[1:-1]
+    pts[1:-1, 1] = r * np.cos(theta)[1:-1] - arc.s
     pts[-1] = (arc.l / 2.0, 0.0)
     return pts
 

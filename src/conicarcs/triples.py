@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 from .arclength import arc_length
-from .conic import ConicArc, _check_feasible, construct_arc
+from .conic import ConicArc, _check_feasible, construct_arc, feasibility_min_k
 from .errors import ConicError, InfeasibleSagitta
 from .homothety import PlanarTriangle, place_triangle
 from .textfmt import fmt
@@ -92,7 +92,13 @@ def sweep(tri: PlanarTriangle, e_values: list[float], k_values: list[float]) -> 
         raise ConicError("sweep grid values must be finite")
     rows = []
     for e in sorted(e_values):
+        k_min = feasibility_min_k(e)
         for k in sorted(k_values):
+            # flagged without raising; conic_triple still raises when a side's
+            # l/(l/k) rounds onto the limit
+            if not k > k_min:
+                rows.append(SweepRow(e=e, k=k, feasible=False))
+                continue
             try:
                 t = conic_triple(tri, e, k)
             except InfeasibleSagitta:

@@ -8,6 +8,7 @@ import pytest
 from pytest import approx
 
 from conicarcs import (
+    ConicArc,
     ConicClass,
     ConicError,
     InfeasibleSagitta,
@@ -212,6 +213,20 @@ def test_scale_invariance(e, k, lam):
         else:
             assert v1 == approx(lam * v0, rel=1e-13)
     assert scaled.beta == approx(base.beta, rel=1e-13)
+
+
+@pytest.mark.parametrize("e", [0.0, 0.5, 1.0, 2.0])
+def test_constructed_arc_is_a_plain_conic_arc(e):
+    # construct_arc fills the instance dict directly, bypassing the generated __init__
+    arc = construct_arc(3.0, 0.375, e)
+    plain = ConicArc(**{f.name: getattr(arc, f.name) for f in dataclasses.fields(ConicArc)})
+    assert arc == plain and hash(arc) == hash(plain) and repr(arc) == repr(plain)
+    assert list(vars(arc).items()) == list(vars(plain).items())
+    moved = dataclasses.replace(arc, p=1.0)
+    assert moved.p == 1.0 and moved != arc
+    assert dataclasses.replace(moved, p=arc.p) == arc
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        arc.p = 1.0
 
 
 def test_centre_half_angle_circle():

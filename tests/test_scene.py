@@ -5,6 +5,7 @@ import hashlib
 import json
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -245,3 +246,15 @@ def test_scenes_compare_layers_by_value(tri):
     assert scene != scene.layers() and scene.__eq__(scene.layers()) is NotImplemented
     with pytest.raises(TypeError):
         hash(scene)
+
+
+def test_tiny_k_parabola_scene_warns_nothing(tri):
+    # beta = pi - 5e-10, so 1 + cos(beta) rounds to 0 at the chord ends; those
+    # samples are the exact chord ends and must not go through the polar form
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        scene = build_scene(tri, 1.0, 1e-9, 64)
+        scene_to_svg(scene)
+        scene_to_json(scene)
+    for _, pts in scene.layers():
+        assert np.isfinite(pts).all()

@@ -1,6 +1,7 @@
 """Arc triples on right triangles, residuals, and the sweep harness."""
 
 import dataclasses
+import hashlib
 import math
 
 import pytest
@@ -10,6 +11,7 @@ from conicarcs import (
     ConicError,
     InfeasibleSagitta,
     conic_triple,
+    feasibility_min_k,
     g_factor,
     make_right_triangle,
     pythagorean_residual,
@@ -156,3 +158,18 @@ def test_sweep_csv_deterministic():
     a = sweep_csv(sweep(tri, [0.0, 1.0, 2.0], [3.0, 8.0]))
     b = sweep_csv(sweep(tri, [0.0, 1.0, 2.0], [3.0, 8.0]))
     assert a == b
+
+
+def test_sweep_csv_bytes_pinned():
+    # SHA-256 pinned from a sweep that sent every cell through conic_triple.  The
+    # grid holds k <= 0, the exact limit (e = 0, k = 2), k = 3.7, where l/(l/k) != k
+    # on two sides, and the float just above e = 1000's limit, where the
+    # hypotenuse's l/(l/k) rounds onto the limit and conic_triple raises
+    tri = make_right_triangle(7.0, 4.0)
+    k_edge = math.nextafter(feasibility_min_k(1000.0), math.inf)
+    assert any(l / (l / 3.7) != 3.7 for l in (tri.l1, tri.l2, tri.l3))
+    assert not tri.l1 / (tri.l1 / k_edge) > feasibility_min_k(1000.0)
+    rows = sweep(tri, [1000.0, 2.0, 1.0, 0.5, 0.0], [2500.0, k_edge, 8.0, 3.7, 2.0, 0.0, -1.0])
+    assert [r.feasible for r in rows if r.e == 1000.0] == [False] * 6 + [True]
+    assert hashlib.sha256(sweep_csv(rows).encode()).hexdigest() == (
+        "de2eb0158330590a98649ee6006b6c0aaa84c0097b39c31a9db75e74833ade73")
