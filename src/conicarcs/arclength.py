@@ -14,6 +14,7 @@ oracles, together with a brute-force polyline length.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -35,24 +36,16 @@ _MAX_SUBDIVISIONS = 60
 _REL_TOL = 1e-12
 
 
-def _qagse(func, a, b, args, full_output, epsabs, epsrel, limit):
-    """QUADPACK's QAGS on a finite [a, b]: ``(value, abserr, info, ...)``.
+@functools.cache
+def _qagse():
+    """QUADPACK's QAGS on a finite [a, b], loaded on the first call without ``scipy.integrate``.
 
-    The routine ``scipy.integrate.quad`` runs for a finite interval, called with
-    the same arguments in the same order, so the results are bitwise the same.
-    It is loaded on the first call and bound here in its place.
-    """
-    global _qagse
-    _qagse = _load_qagse()
-    return _qagse(func, a, b, args, full_output, epsabs, epsrel, limit)
-
-
-def _load_qagse():
-    """``_qagse`` of scipy's compiled QUADPACK module, loaded without ``scipy.integrate``.
-
-    Importing ``scipy.integrate`` loads scipy.special, scipy.optimize, scipy.sparse
-    and scipy.linalg, about three quarters of a second; the compiled module needs
-    only numpy.  Where it is not found, ``scipy.integrate.quad`` takes its place.
+    This is ``_qagse`` of scipy's compiled QUADPACK module: the routine
+    ``scipy.integrate.quad`` runs for a finite interval, so the same arguments
+    in the same order give bitwise the same ``(value, abserr, info, ...)``.
+    Importing ``scipy.integrate`` loads most of scipy, about three quarters of
+    a second; the compiled module needs only numpy.  Where it is not found,
+    ``scipy.integrate.quad`` takes its place.
     """
     import os
     from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
@@ -99,7 +92,7 @@ def arc_length(arc: ConicArc) -> ArcLengthResult:
         denom = 1.0 + c
         return math.sqrt(1.0 + 2.0 * c + esq) / (denom * denom)
 
-    out = _qagse(integrand, -arc.beta, arc.beta, (), 1, 0.0, _REL_TOL, _MAX_SUBDIVISIONS)
+    out = _qagse()(integrand, -arc.beta, arc.beta, (), 1, 0.0, _REL_TOL, _MAX_SUBDIVISIONS)
     value, abserr, info = out[0], out[1], out[2]
     # judged before scaling by p, so an underflowing p cannot hide a failure; NaN fails too
     if not abserr <= _REL_TOL * value:

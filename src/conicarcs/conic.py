@@ -87,7 +87,7 @@ def feasibility_min_k(e: float) -> float:
     return 2.0 * math.sqrt(abs(1.0 - e * e))
 
 
-def _check_feasible(e: float, k: float) -> float:
+def _check_feasible(e: float, k: float) -> None:
     k_min = feasibility_min_k(e)
     if not (k > k_min):
         if k_min > 0.0:
@@ -96,7 +96,6 @@ def _check_feasible(e: float, k: float) -> float:
         else:
             msg = f"k = l/f = {fmt(k)} must be positive"
         raise InfeasibleSagitta(msg)
-    return k_min
 
 
 def _unit_shape(cls: ConicClass, e: float, k: float):

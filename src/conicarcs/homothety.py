@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import ConicError
+from .textfmt import fmt
 
 __all__ = [
     "Point",
@@ -64,8 +65,10 @@ def _line_point_distance(p: Point, a: Point, b: Point) -> float:
 
 
 def _intersect_lines(p1: Point, d1: Point, p2: Point, d2: Point) -> Point:
-    t = _cross(p2 - p1, d2) / _cross(d1, d2)
-    return p1 + d1.scaled(t)
+    den = _cross(d1, d2)
+    if den == 0.0:
+        raise ConicError("envelope vertex undefined: its two sides are parallel to rounding")
+    return p1 + d1.scaled(_cross(p2 - p1, d2) / den)
 
 
 @dataclass(frozen=True)
@@ -109,7 +112,11 @@ def place_triangle(l2: float, l3: float) -> PlanarTriangle:
 def altitude_from_right_angle(tri: PlanarTriangle) -> tuple[Point, float]:
     """Foot of the altitude from P1 onto the hypotenuse, and its length l2*l3/l1."""
     d = tri.p3 - tri.p2
-    t = _dot(tri.p1 - tri.p2, d) / _dot(d, d)
+    dd = _dot(d, d)
+    if dd == 0.0:
+        raise ConicError(f"altitude foot undefined: squared hypotenuse l1={fmt(tri.l1)} "
+                         "underflows to 0")
+    t = _dot(tri.p1 - tri.p2, d) / dd
     foot = tri.p2 + d.scaled(t)
     return foot, tri.l2 * tri.l3 / tri.l1
 
@@ -123,6 +130,11 @@ def pythagorean_centre(tri: PlanarTriangle) -> Point:
 def _orientation(tri: PlanarTriangle) -> float:
     """+1.0 if P1, P2, P3 run counter-clockwise, -1.0 if clockwise."""
     return math.copysign(1.0, _cross(tri.p2 - tri.p1, tri.p3 - tri.p1))
+
+
+def _sides(tri: PlanarTriangle) -> tuple[tuple[Point, Point, float], ...]:
+    """``(start, end, length)`` of sides P2P3, P1P2 and P3P1: hypotenuse first, as arc1..arc3."""
+    return (tri.p2, tri.p3, tri.l1), (tri.p1, tri.p2, tri.l2), (tri.p3, tri.p1, tri.l3)
 
 
 def _check_k(k: float) -> None:
@@ -147,9 +159,7 @@ def enveloping_triangle(tri: PlanarTriangle, k: float) -> PlanarTriangle:
     """
     _check_k(k)
     orient = _orientation(tri)
-    side1 = _offset_side(tri.p2, tri.p3, tri.l1, k, orient)  # hypotenuse
-    side2 = _offset_side(tri.p1, tri.p2, tri.l2, k, orient)
-    side3 = _offset_side(tri.p3, tri.p1, tri.l3, k, orient)
+    side1, side2, side3 = (_offset_side(a, b, l, k, orient) for a, b, l in _sides(tri))
     q1 = _intersect_lines(*side3, *side2)
     # Step from Q1 along each leg direction, so Q1Q2 and Q1Q3 stay perpendicular
     # to rounding even when one leg is far shorter than the hypotenuse.
@@ -159,10 +169,18 @@ def enveloping_triangle(tri: PlanarTriangle, k: float) -> PlanarTriangle:
 
 
 def homothety_ratio(tri: PlanarTriangle, k: float) -> float:
-    """Scale factor mapping the triangle onto its k-envelope: 1 + 2 l1 / (k h1)."""
+    """Scale factor mapping the triangle onto its k-envelope: 1 + 2 l1 / (k h1).
+
+    Raises ``ConicError`` when the ratio, or the altitude h1 it divides by, is
+    out of the float range.
+    """
     _check_k(k)
     _, h1 = altitude_from_right_angle(tri)
-    return 1.0 + 2.0 * tri.l1 / (k * h1)
+    ratio = 1.0 + 2.0 * tri.l1 / (k * h1) if k * h1 > 0.0 else math.inf
+    if not (math.isfinite(ratio) and h1 < math.inf):
+        raise ConicError(f"homothety ratio 1 + 2 l1/(k h1) is out of the float range for "
+                         f"k={fmt(k)}, l1={fmt(tri.l1)}, altitude h1={fmt(h1)}")
+    return ratio
 
 
 @dataclass(frozen=True)
@@ -179,18 +197,19 @@ def verify_homothety(tri: PlanarTriangle, k: float) -> HomothetyReport:
     ``max_deviation`` collects, in length units, the vertex mismatches of the
     homothety image against the offset-line construction and the defect of the
     centre sitting at the midpoint of the envelope's own altitude (distance
-    h1/2 + f1 to both the vertex Q1 and the enveloping hypotenuse).  Deviation
-    is reported, never raised, so callers can print diagnostics.
+    h1/2 + f1 to both the vertex Q1 and the enveloping hypotenuse).  A finite
+    deviation is reported, never raised, so callers can print diagnostics; a
+    deviation or ratio that is not finite raises ``ConicError``.
     """
     centre = pythagorean_centre(tri)
     ratio = homothety_ratio(tri, k)
     env = enveloping_triangle(tri, k)
-    dev = 0.0
-    for orig, img in ((tri.p1, env.p1), (tri.p2, env.p2), (tri.p3, env.p3)):
-        mapped = centre + (orig - centre).scaled(ratio)
-        dev = max(dev, _dist(mapped, img))
+    devs = [_dist(centre + (orig - centre).scaled(ratio), img)
+            for orig, img in ((tri.p1, env.p1), (tri.p2, env.p2), (tri.p3, env.p3))]
     _, h1 = altitude_from_right_angle(tri)
     reach = h1 / 2.0 + tri.l1 / k
-    dev = max(dev, abs(_dist(centre, env.p1) - reach))
-    dev = max(dev, abs(_line_point_distance(centre, env.p2, env.p3) - reach))
-    return HomothetyReport(centre=centre, ratio=ratio, enveloping=env, max_deviation=dev)
+    devs.append(abs(_dist(centre, env.p1) - reach))
+    devs.append(abs(_line_point_distance(centre, env.p2, env.p3) - reach))
+    if not all(map(math.isfinite, devs)):
+        raise ConicError(f"homothety max_deviation is not finite for k={fmt(k)}")
+    return HomothetyReport(centre=centre, ratio=ratio, enveloping=env, max_deviation=max(devs))

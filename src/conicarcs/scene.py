@@ -17,11 +17,12 @@ from .homothety import (
     PlanarTriangle,
     Point,
     _orientation,
+    _sides,
     altitude_from_right_angle,
     enveloping_triangle,
     pythagorean_centre,
 )
-from .textfmt import fmt, fmt_rows, negate_y_rows
+from .textfmt import fmt
 
 if TYPE_CHECKING:  # imported where used, so that `import conicarcs` loads no numpy
     import numpy as np
@@ -64,7 +65,37 @@ class Scene:
         Formatted on first use and kept, so the SVG and JSON emitters share one
         formatting pass.  Not a field: ``==`` and ``dataclasses.replace`` ignore it.
         """
-        return tuple(fmt_rows(pts, "%.17g %.17g\n", "") for _, pts in self.layers())
+        return tuple(fmt_rows(pts) for _, pts in self.layers())
+
+
+def fmt_rows(pts: np.ndarray) -> str:
+    """Every (x, y) row of ``pts`` as ``"x y\\n"``, each number as ``fmt`` prints it.
+
+    ``%.17g`` prints a float exactly as ``fmt`` does; the whole array goes
+    through one ``%`` instead of a call per number.
+    """
+    flat = (pts + 0.0).ravel().tolist()  # +0.0 folds -0.0 into 0.0, as in fmt
+    return "%.17g %.17g\n" * len(pts) % tuple(flat)
+
+
+def negate_y_rows(rows: str, ys: np.ndarray) -> str:
+    """``fmt_rows`` text of (x, y) rows with every y negated as text, as ``fmt(-y)`` prints it.
+
+    ``rows`` holds one row per value of ``ys``.  A y token follows the only
+    space of its row (``%.17g`` never prints a space or a newline): negation
+    drops its leading ``-`` and gives anything else one, except ``0`` (``fmt``
+    folds -0.0) and ``nan`` (printed without a sign).  ``ys`` only counts each
+    kind of value, so that every pass over the text stops at the last row it
+    has to change, and a pass with nothing to change never runs.
+    """
+    import numpy as np
+
+    negative, zero, nan = (np.count_nonzero(m) for m in (ys < 0, ys == 0, np.isnan(ys)))
+    if negative + zero + nan == len(ys):  # no positive y: dropping each "-" is all
+        return rows.replace(" -", " ", negative)
+    text = rows.replace(" ", " -")
+    text = text.replace(" --", " ", negative)
+    return text.replace(" -0\n", " 0\n", zero).replace(" -nan\n", " nan\n", nan)
 
 
 def _arc_on_side(a: Point, b: Point, length: float, sagitta: float, e: float,
@@ -85,14 +116,7 @@ def build_scene(tri: PlanarTriangle, e: float, k: float, samples: int) -> Scene:
 
     _check_feasible(e, k)  # rejects k <= 0 before any division
     orient = _orientation(tri)
-    sides = (
-        (tri.p2, tri.p3, tri.l1),  # hypotenuse first, matching arc1..arc3
-        (tri.p1, tri.p2, tri.l2),
-        (tri.p3, tri.p1, tri.l3),
-    )
-    arcs = tuple(
-        _arc_on_side(a, b, l, l / k, e, samples, orient) for a, b, l in sides
-    )
+    arcs = tuple(_arc_on_side(a, b, l, l / k, e, samples, orient) for a, b, l in _sides(tri))
     env = enveloping_triangle(tri, k)
     foot, _ = altitude_from_right_angle(tri)
     centre = pythagorean_centre(tri)

@@ -94,14 +94,13 @@ def sweep(tri: PlanarTriangle, e_values: list[float], k_values: list[float]) -> 
     for e in sorted(e_values):
         k_min = feasibility_min_k(e)
         for k in sorted(k_values):
-            # flagged without raising; conic_triple still raises when a side's
-            # l/(l/k) rounds onto the limit
-            if not k > k_min:
-                rows.append(SweepRow(e=e, k=k, feasible=False))
-                continue
-            try:
-                t = conic_triple(tri, e, k)
-            except InfeasibleSagitta:
+            t = None
+            if k > k_min:  # checked first, so most infeasible cells raise nothing
+                try:
+                    t = conic_triple(tri, e, k)
+                except InfeasibleSagitta:  # a side's l/(l/k) can round onto the limit
+                    pass
+            if t is None:
                 rows.append(SweepRow(e=e, k=k, feasible=False))
                 continue
             rows.append(SweepRow(e=e, k=k, feasible=True, c1=t.lengths[0],

@@ -208,7 +208,7 @@ def test_qagse_matches_scipy_quad(e, k_over_min):
     # arc_length calls QUADPACK's compiled qagse directly; scipy.integrate.quad
     # runs that routine for a finite interval, so value, error estimate and
     # evaluation count agree bitwise, also where the budget runs out (last case)
-    from conicarcs.arclength import _load_qagse
+    from conicarcs.arclength import _qagse
 
     def integrand(theta):
         denom = 1.0 + e * math.cos(theta)
@@ -216,7 +216,7 @@ def test_qagse_matches_scipy_quad(e, k_over_min):
 
     k = max(feasibility_min_k(e), 1.0) * k_over_min
     beta = construct_arc(1.0, 1.0 / k, e).beta
-    direct = _load_qagse()(integrand, -beta, beta, (), 1, 0.0, 1e-12, 60)
+    direct = _qagse()(integrand, -beta, beta, (), 1, 0.0, 1e-12, 60)
     public = quad(integrand, -beta, beta, (), 1, 0.0, 1e-12, 60)
     assert direct[:2] == public[:2]
     assert direct[2]["neval"] == public[2]["neval"]

@@ -147,6 +147,44 @@ def test_centre_invalid_k_prints_nothing(capsys):
     assert "error" in err
 
 
+# the exact stdout of centre: a refactor of the envelope must not move a digit
+@pytest.mark.parametrize("argv, stdout", [
+    (("--leg2", "4", "--leg3", "3"),
+     "centre_x=0.71999999999999997\n"
+     "centre_y=0.95999999999999996\n"
+     "k=4 ratio=2.041666666666667 max_deviation=1.7901808365247238e-15\n"
+     "k=8 ratio=1.5208333333333335 max_deviation=9.1551335970444749e-16\n"
+     "k=16 ratio=1.2604166666666667 max_deviation=0\n"),
+    (("--leg2", "1000", "--leg3", "0.01", "--k-list", "1e5"),
+     "centre_x=4.9999925977317616e-08\n"
+     "centre_y=0.0049999999995000008\n"
+     "k=100000 ratio=3.0000000002 max_deviation=4.5474735088977284e-13\n"),
+], ids=["default-k-list", "skinny"])
+def test_centre_digits_pinned(capsys, argv, stdout):
+    assert run(capsys, "centre", *argv) == (0, stdout, "")
+
+
+@pytest.mark.parametrize("argv, quantity", [
+    (("centre", "--leg2", "2.4774103921533255e+34", "--leg3", "9.593303873166702e+93",
+      "--k-list", "9.500296558812161e-85"), "max_deviation is not finite"),
+    (("centre", "--leg2", "1.5706889045639205e-131", "--leg3", "2.98799538935463e-301",
+      "--k-list", "3.5571716530064955e+223"), "ratio 1 + 2 l1/(k h1) is out of the float range"),
+    (("scene", "--leg2", "2.4406638657537616e-288", "--leg3", "1.4119728365866371e-58",
+      "--e", "1e6", "--k", "2.0676034113574253e+25"), "envelope vertex undefined"),
+    (("centre", "--leg2", "1e-200", "--leg3", "1e-200"), "squared hypotenuse"),
+], ids=["deviation", "ratio", "envelope-vertex", "altitude-foot"])
+def test_envelope_out_of_float_range_exit_1(capsys, argv, quantity):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("conicarcs: error: ") and quantity in err
+
+
+def test_empty_list_flag_exit_1(capsys):
+    code, out, err = run(capsys, "centre", "--leg2", "4", "--leg3", "3", "--k-list", ",")
+    assert (code, out) == (1, "")
+    assert "expected a comma-separated list of numbers" in err
+
+
 def test_oracle_table(capsys):
     code, out, _ = run(capsys, "oracle", "--l", "1", "--f", "0.125", "--e", "1", "--n", "1000")
     assert code == 0

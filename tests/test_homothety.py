@@ -72,6 +72,12 @@ def test_planar_triangle_derives_its_sides():
     assert verify_homothety(tri, 8.0).max_deviation <= 1e-12 * tri.l1
 
 
+@pytest.mark.parametrize("x, y", [(math.nan, 0.0), (0.0, math.inf), (-math.inf, 1.0)])
+def test_point_rejects_non_finite_components(x, y):
+    with pytest.raises(ConicError, match="point components must be finite"):
+        Point(x, y)
+
+
 def test_planar_triangle_rejects_repeated_vertex():
     with pytest.raises(ConicError, match="triangle vertices must be distinct"):
         PlanarTriangle(Point(0.0, 0.0), Point(0.0, 0.0), Point(0.0, 3.0))
@@ -170,6 +176,38 @@ def test_homothety_ratio_values():
     assert homothety_ratio(tri, 8.0) == approx(1.5208333333333333, rel=1e-14)
     assert homothety_ratio(tri, 1e12) == approx(1.0, rel=1e-11)
     assert homothety_ratio(place_triangle(1.0, 1.0), 4.0) == approx(2.0, rel=1e-14)
+
+
+# Finite inputs whose envelope leaves the float range: each raises ConicError
+# naming the quantity instead of a ZeroDivisionError or an infinite deviation.
+def test_verify_homothety_rejects_infinite_deviation():
+    tri = place_triangle(2.4774103921533255e+34, 9.593303873166702e+93)
+    with pytest.raises(ConicError, match="max_deviation is not finite"):
+        verify_homothety(tri, 9.500296558812161e-85)
+
+
+@pytest.mark.parametrize("legs, k, h1", [
+    ((1.5706889045639205e-131, 2.98799538935463e-301), 3.5571716530064955e+223, "0"),
+    ((1e150, 1e200), 8.0, "inf"),  # l2*l3 overflows; the ratio itself is 2.5e49
+])
+def test_homothety_ratio_rejects_altitude_out_of_range(legs, k, h1):
+    for check in (homothety_ratio, verify_homothety):
+        with pytest.raises(ConicError, match=rf"ratio .* out of the float range .* altitude h1={h1}$"):
+            check(place_triangle(*legs), k)
+
+
+def test_enveloping_triangle_rejects_sides_parallel_to_rounding():
+    tri = place_triangle(2.4406638657537616e-288, 1.4119728365866371e-58)
+    with pytest.raises(ConicError, match="envelope vertex undefined"):
+        enveloping_triangle(tri, 2.0676034113574253e+25)
+
+
+def test_altitude_rejects_underflowing_hypotenuse_square():
+    tri = place_triangle(1e-200, 1e-200)
+    with pytest.raises(ConicError, match="squared hypotenuse .* underflows to 0"):
+        altitude_from_right_angle(tri)
+    with pytest.raises(ConicError, match="squared hypotenuse"):
+        verify_homothety(tri, 8.0)
 
 
 def test_verify_homothety_closes_the_loop():

@@ -21,7 +21,8 @@ from conicarcs import (
     scene_to_json,
     scene_to_svg,
 )
-from conicarcs.textfmt import fmt, fmt_rows, negate_y_rows
+from conicarcs.scene import fmt_rows, negate_y_rows
+from conicarcs.textfmt import fmt
 
 
 @pytest.fixture()
@@ -175,9 +176,9 @@ EDGE = [0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e
 def test_fmt_rows_matches_fmt():
     values = EDGE[:6] + EDGE[9:]
     pts = np.array(values).reshape(-1, 2)
-    expected = " | ".join(f"<{fmt(x)};{fmt(y)}>" for x, y in pts)
-    assert fmt_rows(pts, "<%.17g;%.17g>", " | ") == expected
-    assert fmt_rows(-pts, "%.17g %.17g", " ") == " ".join(fmt(-v) for v in values)
+    for sign in (1.0, -1.0):
+        expected = "".join(f"{fmt(sign * x)} {fmt(sign * y)}\n" for x, y in pts)
+        assert fmt_rows(sign * pts) == expected
 
 
 @pytest.mark.parametrize("y", EDGE)
@@ -193,7 +194,7 @@ def test_negate_y_rows_every_mix_of_kinds(kinds):
     ys = [y for bit, group in enumerate(groups) if kinds >> bit & 1 for y in group]
     pts = np.array([(float(i), y) for i, y in enumerate(ys)])
     expected = "".join(f"{fmt(x)} {fmt(-y)}\n" for x, y in pts)
-    assert negate_y_rows(fmt_rows(pts, "%.17g %.17g\n", ""), pts[:, 1]) == expected
+    assert negate_y_rows(fmt_rows(pts), pts[:, 1]) == expected
 
 
 def edge_scene() -> Scene:
