@@ -9,26 +9,8 @@ the identity's residuals over (e, k) sweeps, the envelopes and their common
 centre, and renders scenes to SVG/JSON.
 """
 
-from .arclength import (
-    ArcLengthResult,
-    arc_length,
-    closed_form_circle,
-    closed_form_parabola,
-    g_factor,
-    polyline_length,
-)
-from .conic import (
-    ConicArc,
-    ConicClass,
-    canonical_residual,
-    centre_half_angle,
-    classify,
-    construct_arc,
-    feasibility_min_k,
-    focus_half_angle,
-    polar_radius,
-    sample_points,
-)
+from .arclength import ArcLengthResult, arc_length, g_factor
+from .conic import ConicArc, ConicClass, classify, construct_arc, feasibility_min_k, sample_points
 from .errors import ConicError, InfeasibleSagitta, QuadratureNonConvergence
 from .homothety import (
     HomothetyReport,
@@ -42,14 +24,6 @@ from .homothety import (
     verify_homothety,
 )
 from .scene import Scene, build_scene, scene_to_json, scene_to_svg
-from .triples import (
-    ConicTriple,
-    SweepRow,
-    conic_triple,
-    make_right_triangle,
-    pythagorean_residual,
-    sweep,
-    sweep_csv,
-)
+from .triples import ConicTriple, SweepRow, conic_triple, make_right_triangle, sweep, sweep_csv
 
 __version__ = "0.1.0"

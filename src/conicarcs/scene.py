@@ -78,26 +78,6 @@ def fmt_rows(pts: np.ndarray) -> str:
     return "%.17g %.17g\n" * len(pts) % tuple(flat)
 
 
-def negate_y_rows(rows: str, ys: np.ndarray) -> str:
-    """``fmt_rows`` text of (x, y) rows with every y negated as text, as ``fmt(-y)`` prints it.
-
-    ``rows`` holds one row per value of ``ys``.  A y token follows the only
-    space of its row (``%.17g`` never prints a space or a newline): negation
-    drops its leading ``-`` and gives anything else one, except ``0`` (``fmt``
-    folds -0.0) and ``nan`` (printed without a sign).  ``ys`` only counts each
-    kind of value, so that every pass over the text stops at the last row it
-    has to change, and a pass with nothing to change never runs.
-    """
-    import numpy as np
-
-    negative, zero, nan = (np.count_nonzero(m) for m in (ys < 0, ys == 0, np.isnan(ys)))
-    if negative + zero + nan == len(ys):  # no positive y: dropping each "-" is all
-        return rows.replace(" -", " ", negative)
-    text = rows.replace(" ", " -")
-    text = text.replace(" --", " ", negative)
-    return text.replace(" -0\n", " 0\n", zero).replace(" -nan\n", " nan\n", nan)
-
-
 def _arc_on_side(a: Point, b: Point, length: float, sagitta: float, e: float,
                  samples: int, orient: float) -> np.ndarray:
     import numpy as np
@@ -140,7 +120,11 @@ def scene_to_json(scene: Scene) -> str:
 
 
 def scene_to_svg(scene: Scene) -> str:
-    """Stroke-only SVG, one path per layer, viewBox = scene bounds + 5% margin."""
+    """Stroke-only SVG, one path per layer, viewBox = scene bounds + 5% margin.
+
+    SVG's y axis points down, so each path flips it with ``scale(1 -1)`` and
+    keeps the JSON's coordinates; the viewBox is in the flipped frame.
+    """
     import numpy as np
 
     all_pts = np.vstack([pts for _, pts in scene.layers()])
@@ -157,15 +141,15 @@ def scene_to_svg(scene: Scene) -> str:
     paths = []
     for (name, pts), rows in zip(scene.layers(), scene.rows):
         if name == "centre":
-            cx, cy = pts[0, 0], -pts[0, 1]
-            d = (f"M {fmt(cx - tick)} {fmt(cy - tick)} L {fmt(cx + tick)} {fmt(cy + tick)} "
-                 f"M {fmt(cx - tick)} {fmt(cy + tick)} L {fmt(cx + tick)} {fmt(cy - tick)}")
-        else:  # SVG y grows downward; negate to keep the drawing upright
-            d = "M " + negate_y_rows(rows, pts[:, 1])[:-1].replace("\n", " L ")
+            cx, cy = pts[0]
+            d = (f"M {fmt(cx - tick)} {fmt(cy + tick)} L {fmt(cx + tick)} {fmt(cy - tick)} "
+                 f"M {fmt(cx - tick)} {fmt(cy - tick)} L {fmt(cx + tick)} {fmt(cy + tick)}")
+        else:
+            d = "M " + rows[:-1].replace("\n", " L ")
             if name in ("triangle", "envelope"):
                 d += " Z"
-        paths.append(f'  <path id="{name}" d="{d}" fill="none" stroke="black" '
-                     f'stroke-width="{fmt(stroke)}"/>')
+        paths.append(f'  <path id="{name}" transform="scale(1 -1)" d="{d}" fill="none" '
+                     f'stroke="black" stroke-width="{fmt(stroke)}"/>')
 
     head = f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="{view}">'
     return "\n".join(['<?xml version="1.0" encoding="UTF-8"?>', head, *paths, "</svg>", ""])

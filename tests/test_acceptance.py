@@ -12,9 +12,6 @@ from pytest import approx
 from conicarcs import (
     InfeasibleSagitta,
     arc_length,
-    centre_half_angle,
-    closed_form_circle,
-    closed_form_parabola,
     conic_triple,
     construct_arc,
     enveloping_triangle,
@@ -22,11 +19,12 @@ from conicarcs import (
     g_factor,
     make_right_triangle,
     place_triangle,
-    polyline_length,
     pythagorean_centre,
     verify_homothety,
 )
+from conicarcs.arclength import closed_form_circle, closed_form_parabola, polyline_length
 from conicarcs.cli import main
+from conicarcs.conic import centre_half_angle
 
 GRID_E = [0.0, 0.3, 0.7, 1.0, 1.5, 3.0]
 GRID_K = [4.0, 8.0, 16.0]

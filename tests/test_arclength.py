@@ -13,13 +13,11 @@ from conicarcs import (
     InfeasibleSagitta,
     QuadratureNonConvergence,
     arc_length,
-    closed_form_circle,
-    closed_form_parabola,
     construct_arc,
     feasibility_min_k,
     g_factor,
-    polyline_length,
 )
+from conicarcs.arclength import closed_form_circle, closed_form_parabola, polyline_length
 
 GRID_E = [0.0, 0.3, 0.7, 1.0, 1.5, 3.0]
 GRID_K = [4.0, 8.0, 16.0]

@@ -12,16 +12,13 @@ from conicarcs import (
     ConicClass,
     ConicError,
     InfeasibleSagitta,
-    canonical_residual,
-    centre_half_angle,
     classify,
     construct_arc,
     feasibility_min_k,
-    focus_half_angle,
-    polar_radius,
     sample_points,
 )
 from conicarcs.cli import main
+from conicarcs.conic import canonical_residual, centre_half_angle, focus_half_angle, polar_radius
 
 # (e, k) cells used for property checks; all feasible.
 GRID = [(0.0, 4.0), (0.0, 8.0), (0.3, 4.0), (0.7, 8.0), (1.0, 4.0),

@@ -1,9 +1,12 @@
-"""numpy and scipy load only when a command needs them, and scipy.integrate never."""
+"""What the package root exports; numpy and scipy load only when a command needs them."""
 
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
+
+import conicarcs
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -42,3 +45,24 @@ def test_cli_loads_numpy_and_scipy_only_when_needed():
                          text=True, check=True).stdout
     expected = ["- "] + [f"{rc} {loaded}" for _, rc, loaded in STEPS]
     assert out.splitlines() == expected
+
+
+# Checks that are not part of the workflow (closed forms, the polyline, the
+# canonical and Pythagorean residuals, the half-angles and the polar radius)
+# are imported from their modules.
+ROOT_NAMES = {
+    "ArcLengthResult", "arc_length", "g_factor",
+    "ConicArc", "ConicClass", "classify", "construct_arc", "feasibility_min_k", "sample_points",
+    "ConicError", "InfeasibleSagitta", "QuadratureNonConvergence",
+    "HomothetyReport", "PlanarTriangle", "Point", "altitude_from_right_angle",
+    "enveloping_triangle", "homothety_ratio", "place_triangle", "pythagorean_centre",
+    "verify_homothety",
+    "Scene", "build_scene", "scene_to_json", "scene_to_svg",
+    "ConicTriple", "SweepRow", "conic_triple", "make_right_triangle", "sweep", "sweep_csv",
+}
+
+
+def test_package_root_exports_what_callers_use():
+    public = {name for name, value in vars(conicarcs).items()
+              if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert public == ROOT_NAMES and len(ROOT_NAMES) == 31

@@ -6,6 +6,7 @@ import json
 import math
 import re
 import warnings
+import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from conicarcs import (
     scene_to_json,
     scene_to_svg,
 )
-from conicarcs.scene import fmt_rows, negate_y_rows
+from conicarcs.scene import fmt_rows
 from conicarcs.textfmt import fmt
 
 
@@ -138,8 +139,10 @@ def test_svg_structure_and_determinism(tri):
     assert order == ["triangle", "arc1", "arc2", "arc3", "envelope", "altitude", "centre"]
 
 
-# SHA-256 of (SVG, JSON) from the per-coordinate emitters these replaced; the
-# points come from numpy sin/cos, which match libm bit for bit.
+# SHA-256 of (upright SVG, JSON) from the per-coordinate emitters these
+# replaced: the SVG hash is of the text that printed each y as fmt(-y) with no
+# transform, so matching it means the flipped paths draw the same points to the
+# bit. The points come from numpy sin/cos, which match libm bit for bit.
 PINNED = [
     ((4.0, 3.0), 0.0, 8.0, 64,
      "2d7c82c146974eee0199d7efb2ff62baf29e64b760b6504b5387cd9ec725b07e",
@@ -162,10 +165,23 @@ PINNED = [
 ]
 
 
+def upright(svg: str) -> str:
+    """``svg`` with each path's ``scale(1 -1)`` applied as text: the attribute
+    dropped and every y of its ``d`` printed as ``fmt(-y)``."""
+    def flip(d: str) -> str:
+        return re.sub(r"([ML]) (\S+) (\S+)",
+                      lambda m: f"{m[1]} {m[2]} {fmt(-float(m[3]))}", d)
+
+    text, flipped = re.subn(r' transform="scale\(1 -1\)" d="([^"]*)"',
+                            lambda m: f' d="{flip(m[1])}"', svg)
+    assert flipped == svg.count("<path ")
+    return text
+
+
 @pytest.mark.parametrize("legs,e,k,samples,svg_sha,json_sha", PINNED)
 def test_emitters_byte_identical(legs, e, k, samples, svg_sha, json_sha):
     scene = build_scene(place_triangle(*legs), e, k, samples)
-    assert hashlib.sha256(scene_to_svg(scene).encode()).hexdigest() == svg_sha
+    assert hashlib.sha256(upright(scene_to_svg(scene)).encode()).hexdigest() == svg_sha
     assert hashlib.sha256(scene_to_json(scene).encode()).hexdigest() == json_sha
 
 
@@ -184,23 +200,79 @@ def test_fmt_rows_matches_fmt():
 @pytest.mark.parametrize("y", EDGE)
 @pytest.mark.parametrize("x", [0.0, -1.0, math.nan])
 def test_negate_y_rows_matches_fmt(x, y):
-    assert negate_y_rows(f"{fmt(x)} {fmt(y)}\n", np.array([y])) == f"{fmt(x)} {fmt(-y)}\n"
-
-
-@pytest.mark.parametrize("kinds", range(1, 16))
-def test_negate_y_rows_every_mix_of_kinds(kinds):
-    # which passes run depends on which of these four kinds of y occur
-    groups = ([-0.1, -math.inf, -5e-324], [0.1, math.inf, 2.0**53 + 2], [0.0, -0.0], [math.nan])
-    ys = [y for bit, group in enumerate(groups) if kinds >> bit & 1 for y in group]
-    pts = np.array([(float(i), y) for i, y in enumerate(ys)])
-    expected = "".join(f"{fmt(x)} {fmt(-y)}\n" for x, y in pts)
-    assert negate_y_rows(fmt_rows(pts), pts[:, 1]) == expected
+    # every path, flipped by its transform, puts (x, y) where fmt(x) fmt(-y) does
+    pt = np.array([[x, y]])
+    scene = Scene(triangle=pt, arcs=(pt, pt, pt), envelope=pt, altitude=pt, centre=pt[0])
+    with np.errstate(over="ignore", invalid="ignore"):  # a one-point viewBox of edge values
+        svg = scene_to_svg(scene)
+    paths = dict(re.findall(r'<path id="(\w+)" d="([^"]*)"', upright(svg)))
+    for name in ("triangle", "arc1", "arc2", "arc3", "envelope", "altitude"):
+        d = f"M {fmt(x)} {fmt(-y)}"
+        assert paths[name] == (d + " Z" if name in ("triangle", "envelope") else d)
 
 
 def edge_scene() -> Scene:
     grid = np.array([(x, y) for x in EDGE for y in EDGE])
     return Scene(triangle=grid[:3], arcs=(grid, grid[::-1], grid[::7]), envelope=grid[-3:],
                  altitude=grid[40:42], centre=np.array([-0.0, math.nan]))
+
+
+def drawn_paths(svg: str) -> dict:
+    """Each path's subpaths as the points it draws: ``d`` mapped through its ``transform``."""
+    paths = {}
+    for path in ET.fromstring(svg):
+        sx, sy = map(float, re.fullmatch(r"scale\((\S+) (\S+)\)",
+                                         path.get("transform", "scale(1 1)")).groups())
+        tokens, subpaths = path.get("d").split(), []
+        while tokens:
+            op = tokens.pop(0)
+            if op == "Z":
+                subpaths[-1].append(subpaths[-1][0])
+                continue
+            point = (sx * float(tokens.pop(0)), sy * float(tokens.pop(0)))
+            if op == "M":
+                subpaths.append([point])
+            else:
+                subpaths[-1].append(point)
+        paths[path.get("id")] = subpaths
+    return paths
+
+
+def json_points(doc: str) -> dict:
+    """The JSON layers as float points; ``fmt`` prints non-finite values as nan/inf."""
+    names = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+    return json.loads(re.sub(r"-?inf|nan", lambda m: names[m.group()], doc))
+
+
+def same(a: float, b: float) -> bool:
+    return a == b or (math.isnan(a) and math.isnan(b))
+
+
+@pytest.mark.parametrize("case", [row[:4] for row in PINNED] + ["edge"])
+def test_svg_draws_the_json_points(case):
+    scene = edge_scene() if case == "edge" else build_scene(place_triangle(*case[0]), *case[1:])
+    svg = scene_to_svg(scene)
+    drawn, layers = drawn_paths(svg), json_points(scene_to_json(scene))
+    for name in ("triangle", "arc1", "arc2", "arc3", "envelope", "altitude"):
+        (points,) = drawn[name]
+        if name in ("triangle", "envelope"):
+            assert points.pop() == points[0]
+        expected = [(x, -y) for x, y in layers[name]]
+        assert len(points) == len(expected)
+        assert all(same(a, c) and same(b, d) for (a, b), (c, d) in zip(points, expected))
+    (cx, cy), = layers["centre"]
+    (a, b), (c, d) = drawn["centre"]
+    if not all(math.isfinite(v) for p in (a, b, c, d) for v in p):
+        # the edge scene's bounds, so also the mark's size, are not finite
+        assert not all(map(math.isfinite, map(float, ET.fromstring(svg).get("viewBox").split())))
+        return
+    # two diagonals of one square: same x span, swapped y ends, both centred on the centre
+    assert (a[0], b[0], a[1], b[1]) == (c[0], d[0], d[1], c[1])
+    tick = (b[0] - a[0]) / 2.0
+    assert tick > 0.0 and abs(b[1] - a[1]) == approx(2.0 * tick)
+    for p, q in ((a, b), (c, d)):
+        assert (p[0] + q[0]) / 2.0 == approx(cx, abs=1e-12 * tick)
+        assert (p[1] + q[1]) / 2.0 == approx(-cy, abs=1e-12 * tick)
 
 
 def test_emitters_match_per_coordinate_fmt_on_edge_values():
@@ -210,9 +282,10 @@ def test_emitters_match_per_coordinate_fmt_on_edge_values():
         f'  "{name}": [' + ", ".join(f"[{fmt(x)}, {fmt(y)}]" for x, y in pts) + "]"
         for name, pts in layers) + "\n}\n"
     assert scene_to_json(scene) == expected_json
-    paths = dict(re.findall(r'<path id="(\w+)" d="([^"]*)"', scene_to_svg(scene)))
+    svg = scene_to_svg(scene)
+    paths = dict(re.findall(r'<path id="(\w+)" transform="[^"]*" d="([^"]*)"', svg))
     for name, pts in layers[:-1]:  # the centre is a mark, not its points
-        d = "M " + " L ".join(f"{fmt(x)} {fmt(-y)}" for x, y in pts)
+        d = "M " + " L ".join(f"{fmt(x)} {fmt(y)}" for x, y in pts)
         assert paths[name] == (d + " Z" if name in ("triangle", "envelope") else d)
 
 

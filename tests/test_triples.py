@@ -14,11 +14,10 @@ from conicarcs import (
     feasibility_min_k,
     g_factor,
     make_right_triangle,
-    pythagorean_residual,
     sweep,
     sweep_csv,
 )
-from conicarcs.triples import SWEEP_CSV_HEADER
+from conicarcs.triples import SWEEP_CSV_HEADER, pythagorean_residual
 
 
 def test_make_right_triangle_classic_triples():
