@@ -41,9 +41,6 @@ __all__ = [
     "classify",
     "feasibility_min_k",
     "construct_arc",
-    "centre_half_angle",
-    "focus_half_angle",
-    "polar_radius",
     "sample_points",
     "canonical_residual",
 ]
@@ -98,27 +95,6 @@ def _check_feasible(e: float, k: float) -> None:
         raise InfeasibleSagitta(msg)
 
 
-def _unit_shape(cls: ConicClass, e: float, k: float):
-    """Shape of the (e, k) arc per unit chord: ``(p, s, a, m, beta, alpha)``.
-
-    ``a`` and ``alpha`` are None for the parabola, whose ``m`` is its focal
-    length.  Every angle and length of an arc comes from here, so arcs of equal
-    (e, k) agree bit for bit whatever their chord.
-    """
-    _check_feasible(e, k)
-    q = 1.0 - e * e
-    p = k / 8.0 + q / (2.0 * k)
-    s = k / (8.0 * (1.0 + e)) - (1.0 + e) / (2.0 * k)
-    beta = math.atan2(0.5, s)
-    if cls is ConicClass.PARABOLA:
-        return p, s, None, k / 16.0, beta, None
-    # ellipse and hyperbola differ only in the sign of the 1/(2k) term
-    axis = k / (8.0 * abs(q))
-    half = math.copysign(1.0 / (2.0 * k), q)
-    m = axis - half
-    return p, s, axis + half, m, beta, math.atan2(0.5, m)
-
-
 @dataclass(frozen=True)
 class ConicArc:
     """Fully resolved symmetric arc on chord ``l`` with sagitta ``f`` and ``k = l/f``.
@@ -129,7 +105,8 @@ class ConicArc:
     near-branch vertex), and the focal length ``F`` for the parabola, whose
     canonical frame has no centre.  ``s`` is the signed offset from the focus
     to the chord, positive towards the apex; ``beta`` and ``alpha`` are the
-    focus and centre half-angles subtended by the chord.
+    focus and centre half-angles subtended by the chord, functions of (e, k)
+    only (``alpha`` is None for the parabola).
     """
 
     conic_class: ConicClass
@@ -163,14 +140,28 @@ def construct_arc(l: float, f: float, e: float) -> ConicArc:
     if l <= 0.0 or f <= 0.0:
         raise ConicError(f"chord and sagitta must be positive, got l={l}, f={f}")
     k = l / f
-    p_u, s_u, a_u, m_u, beta, alpha = _unit_shape(cls, e, k)
-    p, s, m = l * p_u, l * s_u, l * m_u
-    a = b = c_focal = None
-    if a_u is not None:
-        a = l * a_u
-        b = a * math.sqrt(abs(1.0 - e * e))
+    _check_feasible(e, k)
+    # Each angle is taken, and each length rounded, per unit chord before it is
+    # scaled by l, so arcs of equal (e, k) agree bit for bit whatever their chord.
+    q = 1.0 - e * e
+    p = l * (k / 8.0 + q / (2.0 * k))
+    s_u = k / (8.0 * (1.0 + e)) - (1.0 + e) / (2.0 * k)
+    s = l * s_u
+    beta = math.atan2(0.5, s_u)
+    if cls is ConicClass.PARABOLA:  # m is the focal length; there is no centre
+        m = l * (k / 16.0)
+        a = b = c_focal = alpha = None
+        scaled = (p, s, m)
+    else:
+        # ellipse and hyperbola differ only in the sign of the 1/(2k) term
+        axis = k / (8.0 * abs(q))
+        half = math.copysign(1.0 / (2.0 * k), q)
+        m_u, a_u = axis - half, axis + half
+        m, a = l * m_u, l * a_u
+        b = a * math.sqrt(abs(q))
         c_focal = e * l * a_u
-    scaled = (p, s, m) if a is None else (p, s, m, a, b, c_focal)
+        alpha = math.atan2(0.5, m_u)
+        scaled = (p, s, m, a, b, c_focal)
     if not all(map(math.isfinite, scaled)):
         raise ConicError(f"arc dimensions overflow for l={l}, f={f}, e={e}")
     if p == 0.0:
@@ -182,32 +173,6 @@ def construct_arc(l: float, f: float, e: float) -> ConicArc:
     arc.__dict__.update(conic_class=cls, e=e, l=l, f=f, k=k, a=a, b=b, c_focal=c_focal,
                         m=m, p=p, s=s, beta=beta, alpha=alpha)
     return arc
-
-
-def centre_half_angle(e: float, k: float) -> float:
-    """Half-angle subtended by the chord at the conic's centre; function of (e, k) only."""
-    cls = classify(e)
-    if cls is ConicClass.PARABOLA:
-        raise ConicError("a parabola has no centre")
-    return _unit_shape(cls, e, k)[5]
-
-
-def focus_half_angle(e: float, k: float) -> float:
-    """Half-angle subtended by the chord at the focus; function of (e, k) only.
-
-    Obtuse for ``feasibility_min_k(e) < k < 2(1+e)``.
-    """
-    return _unit_shape(classify(e), e, k)[4]
-
-
-def polar_radius(arc: ConicArc, theta: float) -> float:
-    """Focal distance r(theta) = p / (1 + e cos theta), theta = 0 towards the apex."""
-    if abs(theta) > arc.beta:
-        raise ConicError(f"|theta| = {fmt(abs(theta))} exceeds beta = {fmt(arc.beta)}")
-    denom = 1.0 + arc.e * math.cos(theta)
-    if denom <= 0.0:
-        raise ConicError(f"1 + e*cos(theta) = {fmt(denom)} <= 0")
-    return arc.p / denom
 
 
 def sample_points(arc: ConicArc, n: int) -> np.ndarray:

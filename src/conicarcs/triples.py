@@ -23,7 +23,6 @@ __all__ = [
     "SweepRow",
     "make_right_triangle",
     "conic_triple",
-    "pythagorean_residual",
     "sweep",
     "sweep_csv",
     "SWEEP_CSV_HEADER",
@@ -50,11 +49,6 @@ def _residual(c1: float, c2: float, c3: float) -> float:
     # underflow where they are negligible next to 1; squaring c1 itself would.
     r2, r3 = c2 / c1, c3 / c1
     return abs(1.0 - r2 * r2 - r3 * r3)
-
-
-def pythagorean_residual(triple: ConicTriple) -> float:
-    """Relative defect |1 - (c2/c1)^2 - (c3/c1)^2| of the stored lengths."""
-    return _residual(*triple.lengths)
 
 
 def conic_triple(tri: PlanarTriangle, e: float, k: float) -> ConicTriple:

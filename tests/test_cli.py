@@ -1,6 +1,9 @@
 """Command dispatch, exit codes, output formats, and determinism."""
 
 import json
+import math
+import random
+import re
 
 import pytest
 from pytest import approx
@@ -234,3 +237,72 @@ def test_repeated_invocations_byte_identical(capsys, argv):
     first = run(capsys, *argv)
     second = run(capsys, *argv)
     assert first == second
+
+
+# -- contract fuzz --------------------------------------------------------------
+
+NON_FINITE = re.compile(r"(?<![a-z])(nan|inf)(?![a-z])", re.IGNORECASE)
+ONE_BELOW, ONE_ABOVE = math.nextafter(1.0, 0.0), math.nextafter(1.0, 2.0)
+
+
+def fuzz_number(rng: random.Random) -> float:
+    """A length or ratio anywhere from 5e-324 to 1.7e308, sometimes 0 or negative."""
+    u = rng.random()
+    if u < 0.04:
+        return 0.0
+    x = 2.0 ** rng.uniform(-1074.0, 1023.99) if u < 0.5 else rng.uniform(0.1, 10.0)
+    return -x if u > 0.96 else x
+
+
+def fuzz_eccentricity(rng: random.Random) -> float:
+    return rng.choice([0.0, 1.0, ONE_BELOW, ONE_ABOVE, rng.uniform(0.0, 3.0),
+                       fuzz_number(rng)])
+
+
+def fuzz_line(rng: random.Random) -> list[str]:
+    """One command line of a random subcommand, every required flag present."""
+    def num(): return repr(fuzz_number(rng))
+    def ecc(): return repr(fuzz_eccentricity(rng))
+    def nums(): return ",".join(num() for _ in range(rng.randint(1, 4)))
+    def count(): return str(rng.choice([2, 3, 8, 100]))
+
+    arc = {"l": num, "f": num, "e": ecc}
+    legs = {"leg2": num, "leg3": num}
+    flags = {
+        "construct": arc,
+        "arclen": arc,
+        "verify": {**legs, "e": ecc, "k": num},
+        "sweep": {**legs, "e-list": lambda: ",".join(ecc() for _ in range(rng.randint(1, 4))),
+                  "k-list": nums},
+        "scene": {**legs, "e": ecc, "k": num, "samples": count,
+                  "format": lambda: rng.choice(["svg", "json"])},
+        "centre": {**legs, "k-list": nums},
+        "oracle": {**arc, "n": count},
+    }
+    command = rng.choice(sorted(flags))
+    # --flag=value, so that a negative value such as -5e-324 is not read as a flag
+    return [command] + [f"--{name}={value()}" for name, value in flags[command].items()]
+
+
+@pytest.mark.filterwarnings("error")
+def test_contract_holds_on_fuzzed_command_lines(capsys):
+    """Exit code 0-3, no escaping exception, finite numbers on success, no
+    stdout on error, for 300 seeded command lines over all seven subcommands."""
+    rng = random.Random("cli contract")
+    broken = []
+    for _ in range(300):
+        argv = fuzz_line(rng)
+        try:
+            code = main(argv)
+        except BaseException as exc:  # SystemExit included: any escape breaks the contract
+            capsys.readouterr()
+            broken.append((argv, f"raised {type(exc).__name__}: {exc}"))
+            continue
+        out = capsys.readouterr().out
+        if code not in (0, 1, 2, 3):
+            broken.append((argv, f"exit {code}"))
+        elif code == 0 and NON_FINITE.search(out):
+            broken.append((argv, "non-finite number on stdout"))
+        elif code in (1, 3) and out:
+            broken.append((argv, f"exit {code} with stdout"))
+    assert not broken

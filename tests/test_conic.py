@@ -18,7 +18,7 @@ from conicarcs import (
     sample_points,
 )
 from conicarcs.cli import main
-from conicarcs.conic import canonical_residual, centre_half_angle, focus_half_angle, polar_radius
+from conicarcs.conic import canonical_residual
 
 # (e, k) cells used for property checks; all feasible.
 GRID = [(0.0, 4.0), (0.0, 8.0), (0.3, 4.0), (0.7, 8.0), (1.0, 4.0),
@@ -227,64 +227,67 @@ def test_constructed_arc_is_a_plain_conic_arc(e):
 
 
 def test_centre_half_angle_circle():
-    assert centre_half_angle(0.0, 8.0) == approx(math.atan(0.5 / 0.9375), rel=1e-15)
-    assert centre_half_angle(0.0, 8.0) == approx(0.4899573262537283, rel=1e-14)
+    alpha = construct_arc(1.0, 0.125, 0.0).alpha
+    assert alpha == approx(math.atan(0.5 / 0.9375), rel=1e-15)
+    assert alpha == approx(0.4899573262537283, rel=1e-14)
     with pytest.raises(InfeasibleSagitta):
-        centre_half_angle(0.0, 2.0)   # boundary itself is excluded
-
-
-def test_centre_half_angle_parabola_rejected():
-    with pytest.raises(ConicError, match="a parabola has no centre"):
-        centre_half_angle(1.0, 8.0)
+        construct_arc(1.0, 0.5, 0.0)   # boundary k = 2 itself is excluded
 
 
 def test_centre_half_angle_ellipse_formula():
     # tan(alpha) = (1 - e^2) / ((k^2 - 4 (1 - e^2)) / (4 k))
     for e, k in ((0.3, 4.0), (0.5, 4.0), (0.7, 16.0)):
         expected = math.atan((1.0 - e * e) / ((k * k - 4.0 * (1.0 - e * e)) / (4.0 * k)))
-        assert centre_half_angle(e, k) == approx(expected, abs=1e-13)
-        assert 0.0 < centre_half_angle(e, k) < math.pi / 2.0
+        alpha = construct_arc(k, 1.0, e).alpha
+        assert alpha == approx(expected, abs=1e-13)
+        assert 0.0 < alpha < math.pi / 2.0
 
 
 @pytest.mark.parametrize("e", [0.5, 2.0, 1.0])
 def test_angles_independent_of_chord_length(e):
-    for l in (1.0, 37.0):
+    unit = construct_arc(1.0, 0.25, e)
+    assert (unit.alpha is None) == (unit.conic_class is ConicClass.PARABOLA)
+    for l in (3.0, 37.0):
         arc = construct_arc(l, l / 4.0, e)
-        assert arc.beta == focus_half_angle(e, 4.0)
-        if arc.conic_class is not ConicClass.PARABOLA:
-            assert arc.alpha == centre_half_angle(e, 4.0)
+        assert arc.k == 4.0 and arc.beta == unit.beta and arc.alpha == unit.alpha
 
 
 @pytest.mark.parametrize("e,k", GRID)
 def test_angles_match_concrete_geometry(e, k):
-    # recompute from a concrete arc's stored lengths; must match the
-    # (e, k)-only functions
+    # recompute from a concrete arc's stored lengths; must match the stored angles
     arc = construct_arc(13.7, 13.7 / k, e)
-    assert math.atan2(arc.l / 2.0, arc.s) == approx(focus_half_angle(e, k), abs=1e-13)
+    assert math.atan2(arc.l / 2.0, arc.s) == approx(arc.beta, abs=1e-13)
     if arc.conic_class is not ConicClass.PARABOLA:
-        assert math.atan2(arc.l / 2.0, arc.m) == approx(centre_half_angle(e, k), abs=1e-13)
+        assert math.atan2(arc.l / 2.0, arc.m) == approx(arc.alpha, abs=1e-13)
 
 
 def test_focus_half_angle_circle_equals_centre():
-    assert focus_half_angle(0.0, 8.0) == centre_half_angle(0.0, 8.0)
+    arc = construct_arc(1.0, 0.125, 0.0)
+    assert arc.beta == arc.alpha
 
 
 def test_focus_half_angle_parabola():
     # s = l (k^2 - 16) / (16 k); tan(beta) = 8 k / (k^2 - 16) = 4/3 at k = 8
-    assert focus_half_angle(1.0, 8.0) == approx(math.atan(4.0 / 3.0), rel=1e-15)
-    assert focus_half_angle(1.0, 8.0) == approx(0.9272952180016122, rel=1e-14)
+    arc = construct_arc(1.0, 0.125, 1.0)
+    assert arc.alpha is None
+    assert arc.beta == approx(math.atan(4.0 / 3.0), rel=1e-15)
+    assert arc.beta == approx(0.9272952180016122, rel=1e-14)
 
 
 def test_focus_half_angle_obtuse():
     # s < 0 exactly when k < 2 (1 + e); at e = 0.5 the switch is k = 3
-    beta = focus_half_angle(0.5, 2.9)
-    assert beta > math.pi / 2.0
-    assert beta == approx(1.6046913864077064, rel=1e-14)
+    arc = construct_arc(2.9, 1.0, 0.5)
+    assert arc.beta > math.pi / 2.0
+    assert arc.beta == approx(1.6046913864077064, rel=1e-14)
     # chord-frame sampling oracle: angle at the focus (0, -s) to the endpoint
-    arc = construct_arc(1.0, 1.0 / 2.9, 0.5)
-    vx, vy = 0.5 - 0.0, 0.0 - (-arc.s)
-    assert math.atan2(vx, vy) == approx(beta, abs=1e-13)
-    assert focus_half_angle(0.5, 3.1) < math.pi / 2.0
+    vx, vy = arc.l / 2.0 - 0.0, 0.0 - (-arc.s)
+    assert math.atan2(vx, vy) == approx(arc.beta, abs=1e-13)
+    assert construct_arc(3.1, 1.0, 0.5).beta < math.pi / 2.0
+
+
+def polar_radius(arc, theta):
+    """Focal distance r(theta) = p / (1 + e cos theta), theta = 0 towards the apex."""
+    return arc.p / (1.0 + arc.e * math.cos(theta))
 
 
 def test_polar_radius_circle_constant():
@@ -307,21 +310,6 @@ def test_polar_radius_endpoint_distance():
     # r(beta) must equal the focus-to-endpoint distance sqrt((l/2)^2 + s^2)
     arc = construct_arc(1.0, 0.25, 0.5)
     assert polar_radius(arc, arc.beta) == approx(math.hypot(0.5, arc.s), rel=1e-13)
-
-
-def test_polar_radius_out_of_range():
-    arc = construct_arc(1.0, 0.25, 0.5)
-    with pytest.raises(ConicError, match="exceeds beta"):
-        polar_radius(arc, arc.beta * 1.0001)
-
-
-def test_polar_radius_asymptote_guard():
-    # unreachable for real arcs (the range check fires first); exercise the
-    # guard on a doctored arc
-    arc = construct_arc(1.0, 0.125, 2.0)
-    bad = dataclasses.replace(arc, beta=3.0)
-    with pytest.raises(ConicError, match=r"1 \+ e\*cos\(theta\) = .* <= 0"):
-        polar_radius(bad, 2.8)
 
 
 def test_sample_points_counts_and_landmarks():

@@ -47,9 +47,8 @@ def test_cli_loads_numpy_and_scipy_only_when_needed():
     assert out.splitlines() == expected
 
 
-# Checks that are not part of the workflow (closed forms, the polyline, the
-# canonical and Pythagorean residuals, the half-angles and the polar radius)
-# are imported from their modules.
+# Checks that are not part of the workflow (closed forms, the polyline and the
+# canonical residual) are imported from their modules.
 ROOT_NAMES = {
     "ArcLengthResult", "arc_length", "g_factor",
     "ConicArc", "ConicClass", "classify", "construct_arc", "feasibility_min_k", "sample_points",

@@ -178,7 +178,8 @@ def upright(svg: str) -> str:
     return text
 
 
-@pytest.mark.parametrize("legs,e,k,samples,svg_sha,json_sha", PINNED)
+@pytest.mark.parametrize("legs,e,k,samples,svg_sha,json_sha", PINNED,
+                         ids=[f"{a:g}x{b:g}-e{e:g}-k{k:g}-n{n}" for (a, b), e, k, n, *_ in PINNED])
 def test_emitters_byte_identical(legs, e, k, samples, svg_sha, json_sha):
     scene = build_scene(place_triangle(*legs), e, k, samples)
     assert hashlib.sha256(upright(scene_to_svg(scene)).encode()).hexdigest() == svg_sha

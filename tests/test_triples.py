@@ -1,6 +1,5 @@
 """Arc triples on right triangles, residuals, and the sweep harness."""
 
-import dataclasses
 import hashlib
 import math
 
@@ -17,7 +16,7 @@ from conicarcs import (
     sweep,
     sweep_csv,
 )
-from conicarcs.triples import SWEEP_CSV_HEADER, pythagorean_residual
+from conicarcs.triples import SWEEP_CSV_HEADER, _residual
 
 
 def test_make_right_triangle_classic_triples():
@@ -89,14 +88,13 @@ def test_triple_sagittae_exactly_proportional():
 def test_residual_small(e, k):
     triple = conic_triple(make_right_triangle(3.0, 4.0), e, k)
     assert triple.residual < 1e-10
-    assert pythagorean_residual(triple) == triple.residual
+    assert _residual(*triple.lengths) == triple.residual
 
 
 def test_residual_formula_sanity():
     triple = conic_triple(make_right_triangle(3.0, 4.0), 1.0, 8.0)
     c1, c2, _ = triple.lengths
-    degenerate = dataclasses.replace(triple, lengths=(c1, c2, 0.0))
-    assert pythagorean_residual(degenerate) == approx(abs(c1 ** 2 - c2 ** 2) / c1 ** 2, rel=1e-15)
+    assert _residual(c1, c2, 0.0) == approx(abs(c1 ** 2 - c2 ** 2) / c1 ** 2, rel=1e-15)
 
 
 @pytest.mark.parametrize("lam", [0.01, 100.0])
