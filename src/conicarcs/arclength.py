@@ -44,8 +44,7 @@ def _qagse():
     ``scipy.integrate.quad`` runs for a finite interval, so the same arguments
     in the same order give bitwise the same ``(value, abserr, info, ...)``.
     Importing ``scipy.integrate`` loads most of scipy, about three quarters of
-    a second; the compiled module needs only numpy.  Where it is not found,
-    ``scipy.integrate.quad`` takes its place.
+    a second; the compiled module needs only numpy.
     """
     import os
     from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
@@ -56,14 +55,11 @@ def _qagse():
     finder = FileFinder(os.path.join(scipy.__path__[0], "integrate"),
                         (ExtensionFileLoader, EXTENSION_SUFFIXES))
     spec = finder.find_spec("scipy.integrate._quadpack")
-    if spec is not None:
-        module = module_from_spec(spec)
-        spec.loader.exec_module(module)
-        if hasattr(module, "_qagse"):
-            return module._qagse
-    from scipy.integrate import quad
-
-    return quad
+    if spec is None:
+        raise ImportError(f"scipy {scipy.__version__} has no compiled scipy.integrate._quadpack")
+    module = module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module._qagse
 
 
 @dataclass(frozen=True)
@@ -139,5 +135,5 @@ def polyline_length(arc: ConicArc, n: int) -> float:
 
 def g_factor(e: float, k: float) -> float:
     """Arc length per unit chord: c(l, l/k, e) = g_factor(e, k) * l."""
-    _check_feasible(e, k)
+    e, k = _check_feasible(e, k)
     return arc_length(construct_arc(1.0, 1.0 / k, e)).length

@@ -84,7 +84,8 @@ def feasibility_min_k(e: float) -> float:
     return 2.0 * math.sqrt(abs(1.0 - e * e))
 
 
-def _check_feasible(e: float, k: float) -> None:
+def _check_feasible(e: float, k: float) -> tuple[float, float]:
+    e, k = float(e), float(k)
     k_min = feasibility_min_k(e)
     if not (k > k_min):
         if k_min > 0.0:
@@ -93,6 +94,7 @@ def _check_feasible(e: float, k: float) -> None:
         else:
             msg = f"k = l/f = {fmt(k)} must be positive"
         raise InfeasibleSagitta(msg)
+    return e, k
 
 
 @dataclass(frozen=True)
@@ -139,8 +141,7 @@ def construct_arc(l: float, f: float, e: float) -> ConicArc:
         raise ConicError(f"chord and sagitta must be finite, got l={l}, f={f}")
     if l <= 0.0 or f <= 0.0:
         raise ConicError(f"chord and sagitta must be positive, got l={l}, f={f}")
-    k = l / f
-    _check_feasible(e, k)
+    e, k = _check_feasible(e, l / f)
     # Each angle is taken, and each length rounded, per unit chord before it is
     # scaled by l, so arcs of equal (e, k) agree bit for bit whatever their chord.
     q = 1.0 - e * e
@@ -192,12 +193,15 @@ def sample_points(arc: ConicArc, n: int) -> np.ndarray:
     # Only the interior angles go through the polar form: at +-beta the
     # denominator 1 + e cos(beta) can round to 0 (a parabola with tiny k).
     # cos and sin run on the whole array, so each interior value is the one
-    # the same call gives for the full set of angles.
-    r = arc.p / (1.0 + arc.e * np.cos(theta)[1:-1])
+    # the same call gives for the full set of angles.  Products are written
+    # in place (into pts, and over cos) to keep large-n peak memory down.
+    cos = np.cos(theta)[1:-1]
+    r = arc.p / (1.0 + arc.e * cos)
     pts = np.empty((n + 1, 2))
     pts[0] = (-arc.l / 2.0, 0.0)
-    pts[1:-1, 0] = r * np.sin(theta)[1:-1]
-    pts[1:-1, 1] = r * np.cos(theta)[1:-1] - arc.s
+    np.multiply(r, np.sin(theta)[1:-1], out=pts[1:-1, 0])
+    cos *= r
+    pts[1:-1, 1] = cos - arc.s
     pts[-1] = (arc.l / 2.0, 0.0)
     return pts
 

@@ -60,10 +60,6 @@ def _dist(a: Point, b: Point) -> float:
     return math.hypot(a.x - b.x, a.y - b.y)
 
 
-def _line_point_distance(p: Point, a: Point, b: Point) -> float:
-    return abs(_cross(b - a, p - a)) / _dist(a, b)
-
-
 def _intersect_lines(p1: Point, d1: Point, p2: Point, d2: Point) -> Point:
     den = _cross(d1, d2)
     if den == 0.0:
@@ -137,9 +133,11 @@ def _sides(tri: PlanarTriangle) -> tuple[tuple[Point, Point, float], ...]:
     return (tri.p2, tri.p3, tri.l1), (tri.p1, tri.p2, tri.l2), (tri.p3, tri.p1, tri.l3)
 
 
-def _check_k(k: float) -> None:
+def _check_k(k: float) -> float:
+    k = float(k)
     if not (k > 0.0) or not math.isfinite(k):
         raise ConicError(f"k must be positive and finite, got {k}")
+    return k
 
 
 def _offset_side(a: Point, b: Point, length: float, k: float,
@@ -157,7 +155,7 @@ def enveloping_triangle(tri: PlanarTriangle, k: float) -> PlanarTriangle:
     Its sides pass through the sagitta tips of the arc family with ratio k and
     stay parallel to the original sides, so the result is similar to ``tri``.
     """
-    _check_k(k)
+    k = _check_k(k)
     orient = _orientation(tri)
     side1, side2, side3 = (_offset_side(a, b, l, k, orient) for a, b, l in _sides(tri))
     q1 = _intersect_lines(*side3, *side2)
@@ -174,7 +172,7 @@ def homothety_ratio(tri: PlanarTriangle, k: float) -> float:
     Raises ``ConicError`` when the ratio, or the altitude h1 it divides by, is
     out of the float range.
     """
-    _check_k(k)
+    k = _check_k(k)
     _, h1 = altitude_from_right_angle(tri)
     ratio = 1.0 + 2.0 * tri.l1 / (k * h1) if k * h1 > 0.0 else math.inf
     if not (math.isfinite(ratio) and h1 < math.inf):
@@ -202,6 +200,7 @@ def verify_homothety(tri: PlanarTriangle, k: float) -> HomothetyReport:
     deviation or ratio that is not finite raises ``ConicError``.
     """
     centre = pythagorean_centre(tri)
+    k = _check_k(k)
     ratio = homothety_ratio(tri, k)
     env = enveloping_triangle(tri, k)
     devs = [_dist(centre + (orig - centre).scaled(ratio), img)
@@ -209,7 +208,7 @@ def verify_homothety(tri: PlanarTriangle, k: float) -> HomothetyReport:
     _, h1 = altitude_from_right_angle(tri)
     reach = h1 / 2.0 + tri.l1 / k
     devs.append(abs(_dist(centre, env.p1) - reach))
-    devs.append(abs(_line_point_distance(centre, env.p2, env.p3) - reach))
+    devs.append(abs(abs(_cross(env.p3 - env.p2, centre - env.p2)) / env.l1 - reach))
     if not all(map(math.isfinite, devs)):
         raise ConicError(f"homothety max_deviation is not finite for k={fmt(k)}")
     return HomothetyReport(centre=centre, ratio=ratio, enveloping=env, max_deviation=max(devs))

@@ -94,7 +94,7 @@ def build_scene(tri: PlanarTriangle, e: float, k: float, samples: int) -> Scene:
     """Assemble the full drawing for one (e, k) family on an embedded triangle."""
     import numpy as np
 
-    _check_feasible(e, k)  # rejects k <= 0 before any division
+    e, k = _check_feasible(e, k)  # rejects k <= 0 before any division
     orient = _orientation(tri)
     arcs = tuple(_arc_on_side(a, b, l, l / k, e, samples, orient) for a, b, l in _sides(tri))
     env = enveloping_triangle(tri, k)

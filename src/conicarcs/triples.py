@@ -57,7 +57,7 @@ def conic_triple(tri: PlanarTriangle, e: float, k: float) -> ConicTriple:
     Each side i carries the arc with sagitta f_i = l_i / k; infeasible (e, k)
     propagates ``InfeasibleSagitta`` from the construction.
     """
-    _check_feasible(e, k)  # rejects k <= 0 before any division
+    e, k = _check_feasible(e, k)  # rejects k <= 0 before any division
     arcs = tuple(construct_arc(l, l / k, e) for l in (tri.l1, tri.l2, tri.l3))
     lengths = tuple(arc_length(a).length for a in arcs)
     return ConicTriple(e=e, k=k, arcs=arcs, lengths=lengths,
@@ -80,14 +80,15 @@ class SweepRow:
 
 def sweep(tri: PlanarTriangle, e_values: list[float], k_values: list[float]) -> list[SweepRow]:
     """Evaluate the (e, k) grid in ascending order; infeasible cells are flagged rows."""
+    e_values, k_values = sorted(map(float, e_values)), sorted(map(float, k_values))
     if not e_values or not k_values:
         raise ConicError("e_values and k_values must be non-empty")
-    if not all(math.isfinite(v) for v in list(e_values) + list(k_values)):
+    if not all(map(math.isfinite, e_values + k_values)):
         raise ConicError("sweep grid values must be finite")
     rows = []
-    for e in sorted(e_values):
+    for e in e_values:
         k_min = feasibility_min_k(e)
-        for k in sorted(k_values):
+        for k in k_values:
             t = None
             if k > k_min:  # checked first, so most infeasible cells raise nothing
                 try:

@@ -4,6 +4,7 @@ import dataclasses
 import importlib.util
 import math
 import random
+import re
 from pathlib import Path
 
 import pytest
@@ -221,6 +222,19 @@ def test_qagse_matches_scipy_quad(e, k_over_min):
     public = quad(integrand, -beta, beta, (), 1, 0.0, 1e-12, 60)
     assert direct[:2] == public[:2]
     assert direct[2]["neval"] == public[2]["neval"]
+
+
+def test_qagse_without_compiled_quadpack_raises_import_error(monkeypatch, tmp_path):
+    # QUADPACK has one path: where scipy has no compiled module there is no
+    # fallback, and the error names that scipy's version.  __wrapped__ skips the
+    # cache, so no extension module loads twice.
+    import scipy
+
+    from conicarcs.arclength import _qagse
+
+    monkeypatch.setattr(scipy, "__path__", [str(tmp_path)])
+    with pytest.raises(ImportError, match=re.escape(scipy.__version__)):
+        _qagse.__wrapped__()
 
 
 def load_mpmath_oracle():

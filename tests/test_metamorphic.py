@@ -1,23 +1,32 @@
-"""Metamorphic relations that hold bit for bit: scaling by a power of two, and swapping legs.
+"""Metamorphic relations that hold bit for bit: scaling by a power of two, swapping
+legs, and passing a real number of another type.
 
 Multiplying every length by 2^j is exact in binary floating point (barring
 under- and overflow, which these ranges stay clear of), and every formula on
 the path is homogeneous in the lengths, so the results must scale exactly.
-Inputs come from seeded stdlib ``random``.
+Inputs come from seeded stdlib ``random``.  An int or a numpy scalar is
+converted to float once, where it is checked, so it must give the float result.
 """
 
+import dataclasses
+import enum
 import math
 import random
 
 import numpy as np
+import pytest
 
 from conicarcs import (
     arc_length,
     build_scene,
+    conic_triple,
     construct_arc,
+    enveloping_triangle,
     feasibility_min_k,
+    g_factor,
     homothety_ratio,
     place_triangle,
+    sweep,
     verify_homothety,
 )
 
@@ -105,3 +114,51 @@ def test_scene_scales_by_powers_of_two():
                    for (_, a), (_, b) in zip(base.layers(), big.layers())):
             misses.append((l2, l3, e, k, j, samples))
     assert misses == []
+
+
+def entries(l, f, e, k) -> dict:
+    """Each public entry that takes a real number, with its arguments."""
+    tri = place_triangle(4.0, 3.0)
+    return {
+        "construct_arc": (construct_arc, (l, f, e)),
+        "g_factor": (g_factor, (e, k)),
+        "conic_triple": (conic_triple, (tri, e, k)),
+        "sweep": (sweep, (tri, np.array([e, e + e]), np.array([k, k + k]))),
+        "build_scene": (lambda tri, e, k: build_scene(tri, e, k, 16), (tri, e, k)),
+        "enveloping_triangle": (enveloping_triangle, (tri, k)),
+        "homothety_ratio": (homothety_ratio, (tri, k)),
+        "verify_homothety": (verify_homothety, (tri, k)),
+    }
+
+
+def as_float(arg):
+    if isinstance(arg, np.ndarray):
+        return [float(v) for v in arg]
+    return float(arg) if isinstance(arg, (int, float, np.number)) else arg
+
+
+def non_floats(value, path: str = "result") -> list[str]:
+    """Every number in ``value`` that is not a Python float (or a float64 array)."""
+    if dataclasses.is_dataclass(value):
+        return [bad for fld in dataclasses.fields(value)
+                for bad in non_floats(getattr(value, fld.name), f"{path}.{fld.name}")]
+    if isinstance(value, (tuple, list)):
+        return [bad for i, v in enumerate(value) for bad in non_floats(v, f"{path}[{i}]")]
+    if isinstance(value, np.ndarray):
+        return [] if value.dtype == np.float64 else [f"{path}: {value.dtype}"]
+    if value is None or isinstance(value, (bool, enum.Enum)) or type(value) is float:
+        return []
+    return [f"{path}: {type(value).__name__}"]
+
+
+@pytest.mark.parametrize("name", list(entries(1.0, 1.0, 1.0, 1.0)))
+@pytest.mark.parametrize("kind", [np.float32, np.float64, int, float],
+                         ids=["float32", "float64", "int", "float"])
+def test_real_number_inputs_give_the_float_result(kind, name):
+    # 7.3 and 0.3 are inexact in float32, so a float32 that reached the
+    # arithmetic would round differently from float(x)
+    values = (7, 2, 1, 7) if kind is int else (7.3, 0.3, 0.3, 7.3)
+    fn, args = entries(*map(kind, values))[name]
+    result = fn(*args)
+    assert result == fn(*map(as_float, args))
+    assert non_floats(result) == []
