@@ -48,8 +48,10 @@ class Point:
         return Point(t * self.x, t * self.y)
 
 
-def _dot(u: Point, v: Point) -> float:
-    return u.x * v.x + u.y * v.y
+def _dot(u: Point, v: Point, m: int) -> float:
+    """u . v / 4^m from coordinates scaled exactly by 2^-m; in range for lengths near 2^m."""
+    return (math.ldexp(u.x, -m) * math.ldexp(v.x, -m)
+            + math.ldexp(u.y, -m) * math.ldexp(v.y, -m))
 
 
 def _cross(u: Point, v: Point) -> float:
@@ -88,7 +90,8 @@ class PlanarTriangle:
         l3 = _dist(p1, p3)
         if l2 <= 0.0 or l3 <= 0.0:
             raise ConicError("triangle vertices must be distinct")
-        if abs(_dot(p2 - p1, p3 - p1)) > 1e-12 * l2 * l3:
+        m = math.frexp(max(l2, l3))[1]
+        if abs(_dot(p2 - p1, p3 - p1, m)) > 1e-12 * math.ldexp(l2, -m) * math.ldexp(l3, -m):
             raise ConicError("triangle is not right-angled at P1")
         object.__setattr__(self, "l1", _dist(p2, p3))
         object.__setattr__(self, "l2", l2)
@@ -108,13 +111,11 @@ def place_triangle(l2: float, l3: float) -> PlanarTriangle:
 def altitude_from_right_angle(tri: PlanarTriangle) -> tuple[Point, float]:
     """Foot of the altitude from P1 onto the hypotenuse, and its length l2*l3/l1."""
     d = tri.p3 - tri.p2
-    dd = _dot(d, d)
-    if dd == 0.0:
-        raise ConicError(f"altitude foot undefined: squared hypotenuse l1={fmt(tri.l1)} "
-                         "underflows to 0")
-    t = _dot(tri.p1 - tri.p2, d) / dd
+    m = math.frexp(tri.l1)[1]
+    t = _dot(tri.p1 - tri.p2, d, m) / _dot(d, d, m)
     foot = tri.p2 + d.scaled(t)
-    return foot, tri.l2 * tri.l3 / tri.l1
+    short, long = sorted((tri.l2, tri.l3))
+    return foot, math.ldexp(long, -m) * short / math.ldexp(tri.l1, -m)
 
 
 def pythagorean_centre(tri: PlanarTriangle) -> Point:
@@ -169,13 +170,12 @@ def enveloping_triangle(tri: PlanarTriangle, k: float) -> PlanarTriangle:
 def homothety_ratio(tri: PlanarTriangle, k: float) -> float:
     """Scale factor mapping the triangle onto its k-envelope: 1 + 2 l1 / (k h1).
 
-    Raises ``ConicError`` when the ratio, or the altitude h1 it divides by, is
-    out of the float range.
+    Raises ``ConicError`` when the ratio is out of the float range.
     """
     k = _check_k(k)
     _, h1 = altitude_from_right_angle(tri)
     ratio = 1.0 + 2.0 * tri.l1 / (k * h1) if k * h1 > 0.0 else math.inf
-    if not (math.isfinite(ratio) and h1 < math.inf):
+    if not math.isfinite(ratio):
         raise ConicError(f"homothety ratio 1 + 2 l1/(k h1) is out of the float range for "
                          f"k={fmt(k)}, l1={fmt(tri.l1)}, altitude h1={fmt(h1)}")
     return ratio

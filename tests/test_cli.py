@@ -167,15 +167,34 @@ def test_centre_digits_pinned(capsys, argv, stdout):
     assert run(capsys, "centre", *argv) == (0, stdout, "")
 
 
+# the squares of these legs leave the float range; centre and ratio are the
+# roundings of their exact values
+def test_centre_digits_where_squares_underflow(capsys):
+    code, out, err = run(capsys, "centre", "--leg2", "1e-160", "--leg3", "3e-161", "--k-list", "8")
+    assert (code, err) == (0, "")
+    assert out.startswith("centre_x=4.1284403669724789e-162\n"
+                          "centre_y=1.3761467889908256e-161\n"
+                          "k=8 ratio=1.9083333333333334 max_deviation=")
+
+
+def test_scene_centre_where_squares_overflow(capsys):
+    code, out, _ = run(capsys, "scene", "--leg2", "1e154", "--leg3", "1.1e154", "--e", "1",
+                       "--k", "8", "--format", "json")
+    assert code == 0
+    assert '  "centre": [[2.7375565610859731e+153, 2.4886877828054296e+153]]\n' in out
+
+
 @pytest.mark.parametrize("argv, quantity", [
     (("centre", "--leg2", "2.4774103921533255e+34", "--leg3", "9.593303873166702e+93",
       "--k-list", "9.500296558812161e-85"), "max_deviation is not finite"),
-    (("centre", "--leg2", "1.5706889045639205e-131", "--leg3", "2.98799538935463e-301",
-      "--k-list", "3.5571716530064955e+223"), "ratio 1 + 2 l1/(k h1) is out of the float range"),
+    (("centre", "--leg2", "1", "--leg3", "1e-300", "--k-list", "1e-10"),
+     "ratio 1 + 2 l1/(k h1) is out of the float range"),  # the ratio is about 2e310
     (("scene", "--leg2", "2.4406638657537616e-288", "--leg3", "1.4119728365866371e-58",
       "--e", "1e6", "--k", "2.0676034113574253e+25"), "envelope vertex undefined"),
-    (("centre", "--leg2", "1e-200", "--leg3", "1e-200"), "squared hypotenuse"),
-], ids=["deviation", "ratio", "envelope-vertex", "altitude-foot"])
+    (("centre", "--leg2", "1e-200", "--leg3", "1e-200"), "envelope vertex undefined"),
+    (("centre", "--leg2", "1e154", "--leg3", "1.1e154", "--k-list", "8"),
+     "max_deviation is not finite"),
+], ids=["deviation", "ratio", "envelope-vertex", "altitude-foot", "deviation-squares-overflow"])
 def test_envelope_out_of_float_range_exit_1(capsys, argv, quantity):
     code, out, err = run(capsys, *argv)
     assert (code, out) == (1, "")

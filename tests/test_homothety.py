@@ -63,6 +63,15 @@ def test_planar_triangle_requires_right_angle():
         PlanarTriangle(Point(0.0, 0.0), Point(1.0, 0.0), Point(1.0, 1.0))
 
 
+@pytest.mark.parametrize("s", [1e-170, 1e200])
+def test_right_angle_check_holds_at_every_scale(s):
+    # the dot product and its tolerance would under- or overflow as plain products
+    with pytest.raises(ConicError, match="not right-angled at P1"):
+        PlanarTriangle(Point(0.0, 0.0), Point(s, 0.0), Point(s, s))
+    tri = PlanarTriangle(Point(0.0, 0.0), Point(3 * s, 4 * s), Point(-4 * s, 3 * s))
+    assert (tri.l2, tri.l3) == approx((5 * s, 5 * s), rel=1e-15)
+
+
 def test_planar_triangle_derives_its_sides():
     tri = PlanarTriangle(Point(0.0, 0.0), Point(4.0, 0.0), Point(0.0, 3.0))
     assert (tri.l1, tri.l2, tri.l3) == (5.0, 4.0, 3.0)
@@ -189,11 +198,12 @@ def test_verify_homothety_rejects_infinite_deviation():
         verify_homothety(tri, 9.500296558812161e-85)
 
 
+# the true ratios, 1 + 2 l1/(k h1), are about 2e310
 @pytest.mark.parametrize("legs, k, h1", [
-    ((1.5706889045639205e-131, 2.98799538935463e-301), 3.5571716530064955e+223, "0"),
-    ((1e150, 1e200), 8.0, "inf"),  # l2*l3 overflows; the ratio itself is 2.5e49
-])
-def test_homothety_ratio_rejects_altitude_out_of_range(legs, k, h1):
+    ((1.0, 1e-300), 1e-10, "1e-300"),
+    ((1e300, 1e-10), 1.0, "1e-10"),
+], ids=["short-altitude", "long-hypotenuse"])
+def test_homothety_ratio_rejects_ratio_out_of_range(legs, k, h1):
     for check in (homothety_ratio, verify_homothety):
         with pytest.raises(ConicError, match=rf"ratio .* out of the float range .* altitude h1={h1}$"):
             check(place_triangle(*legs), k)
@@ -205,12 +215,14 @@ def test_enveloping_triangle_rejects_sides_parallel_to_rounding():
         enveloping_triangle(tri, 2.0676034113574253e+25)
 
 
-def test_altitude_rejects_underflowing_hypotenuse_square():
+def test_altitude_exact_where_the_hypotenuse_square_underflows():
+    # l1^2 = 2e-400 is below the float range; the foot is exactly (l/2, l/2)
     tri = place_triangle(1e-200, 1e-200)
-    with pytest.raises(ConicError, match="squared hypotenuse .* underflows to 0"):
-        altitude_from_right_angle(tri)
-    with pytest.raises(ConicError, match="squared hypotenuse"):
-        verify_homothety(tri, 8.0)
+    foot, h1 = altitude_from_right_angle(tri)
+    assert (foot.x, foot.y) == (0.5e-200, 0.5e-200)
+    assert h1 == approx(1e-200 / math.sqrt(2.0), rel=2.2e-16)
+    centre = pythagorean_centre(tri)
+    assert (centre.x, centre.y) == (0.25e-200, 0.25e-200)
 
 
 def test_verify_homothety_closes_the_loop():
@@ -293,4 +305,41 @@ def test_centre_foot_and_ratio_against_exact_rationals():
         ratio_eps.append(float(error) / sys.float_info.epsilon)
     assert max(centre_ulps) <= 0.8
     assert max(foot_ulps) <= 1.6
+    assert max(ratio_eps) <= 2.2
+
+
+def test_centre_altitude_and_ratio_exact_at_extreme_magnitudes():
+    """The exact-rational check above, with legs log-uniform in 1e-290..1e300,
+    where the squares of the legs leave the float range.  Nothing but a ratio
+    beyond the float range is refused, and the bounds are the ones above; h1 is
+    compared with l2 l3 / l1 for the stored l1."""
+    rng = random.Random("exact homothety at extreme magnitudes")
+    cases = [((1e150, 1e200), 8.0)]  # l2 * l3 overflows; the ratio is 2.5e49
+    cases += [((10.0 ** rng.uniform(-290.0, 300.0), 10.0 ** rng.uniform(-290.0, 300.0)),
+               10.0 ** rng.uniform(-3.0, 8.0)) for _ in range(2000)]
+    centre_ulps, foot_ulps, h1_err, ratio_eps = [], [], [], []
+    for (l2, l3), k in cases:
+        tri = place_triangle(l2, l3)
+        L2, L3 = Fraction(l2), Fraction(l3)
+        s = L2 * L2 + L3 * L3
+        exact = (L2 * L3 * L3 / (2 * s), L2 * L2 * L3 / (2 * s))
+        ulp = math.ulp(tri.l1)
+        centre = pythagorean_centre(tri)
+        foot, h1 = altitude_from_right_angle(tri)
+        for got, want in zip((centre.x, centre.y), exact):
+            centre_ulps.append(float(abs(Fraction(got) - want)) / ulp)
+        for got, want in zip((foot.x, foot.y), exact):
+            foot_ulps.append(float(abs(Fraction(got) - 2 * want)) / ulp)
+        altitude = L2 * L3 / Fraction(tri.l1)
+        h1_err.append(float(abs(Fraction(h1) - altitude) / altitude))
+        ratio = 1 + 2 * s / (Fraction(k) * L2 * L3)
+        try:
+            error = abs(Fraction(homothety_ratio(tri, k)) - ratio) / ratio
+        except ConicError:
+            assert ratio > sys.float_info.max
+            continue
+        ratio_eps.append(float(error) / sys.float_info.epsilon)
+    assert max(centre_ulps) <= 0.8
+    assert max(foot_ulps) <= 1.6
+    assert max(h1_err) <= 2.2e-16
     assert max(ratio_eps) <= 2.2
