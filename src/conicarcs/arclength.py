@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .conic import ConicArc, ConicClass, _check_feasible, construct_arc, sample_points
 from .errors import ConicError, QuadratureNonConvergence
@@ -62,8 +62,7 @@ def _qagse():
     return module._qagse
 
 
-@dataclass(frozen=True)
-class ArcLengthResult:
+class ArcLengthResult(NamedTuple):
     length: float
     error_estimate: float
     evaluations: int
@@ -96,8 +95,7 @@ def arc_length(arc: ConicArc) -> ArcLengthResult:
             f"relative error estimate {fmt(abserr / value)} above {_REL_TOL!r} after "
             f"{_MAX_SUBDIVISIONS} subdivisions (e={fmt(e)}, k={fmt(arc.k)})"
         )
-    return ArcLengthResult(length=arc.p * value, error_estimate=arc.p * abserr,
-                           evaluations=int(info["neval"]))
+    return ArcLengthResult(arc.p * value, arc.p * abserr, int(info["neval"]))
 
 
 def closed_form_circle(arc: ConicArc) -> float:

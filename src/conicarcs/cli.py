@@ -50,16 +50,14 @@ def _finite_list(text: str) -> list[float]:
     return [_finite(t) for t in items]
 
 
-_ARC_FIELDS = ("e", "l", "f", "k", "a", "b", "c_focal", "m", "p", "s", "beta", "alpha")
 _CLOSED_FORMS = {ConicClass.CIRCLE: closed_form_circle, ConicClass.PARABOLA: closed_form_parabola}
 
 
 def _cmd_construct(args) -> int:
     arc = construct_arc(args.l, args.f, args.e)
-    fields = [f'"class": "{arc.conic_class.value}"']
-    for name in _ARC_FIELDS:
-        value = getattr(arc, name)
-        fields.append(f'"{name}": {"null" if value is None else fmt(value)}')
+    fields = [f'"class": "{arc.conic_class.value}"']  # then every other field, in order
+    fields += [f'"{name}": {"null" if value is None else fmt(value)}'
+               for name, value in zip(arc._fields[1:], arc[1:])]
     print("{" + ", ".join(fields) + "}")
     return 0
 

@@ -26,8 +26,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import ConicError, InfeasibleSagitta
 from .textfmt import fmt
@@ -80,13 +79,24 @@ def feasibility_min_k(e: float) -> float:
     Equals ``2*sqrt(|1 - e^2|)``; arcs require k strictly above it.  For the
     parabola (e = 1) there is no constraint and 0 is returned.
     """
-    e = _check_eccentricity(e)
+    return _min_k(_check_eccentricity(e))
+
+
+def _min_k(e: float) -> float:
     return 2.0 * math.sqrt(abs(1.0 - e * e))
 
 
 def _check_feasible(e: float, k: float) -> tuple[float, float]:
-    e, k = float(e), float(k)
-    k_min = feasibility_min_k(e)
+    """(e, k) as floats for a valid e and a finite k above ``feasibility_min_k(e)``."""
+    e, k = _check_eccentricity(e), float(k)
+    if not math.isfinite(k):
+        raise ConicError(f"k must be finite, got {k}")
+    return e, _feasible_k(e, k)
+
+
+def _feasible_k(e: float, k: float) -> float:
+    """k, if it exceeds the limit of an eccentricity already checked; else InfeasibleSagitta."""
+    k_min = _min_k(e)
     if not (k > k_min):
         if k_min > 0.0:
             msg = (f"sagitta too large for e={fmt(e)}: k = l/f = {fmt(k)} must exceed "
@@ -94,11 +104,10 @@ def _check_feasible(e: float, k: float) -> tuple[float, float]:
         else:
             msg = f"k = l/f = {fmt(k)} must be positive"
         raise InfeasibleSagitta(msg)
-    return e, k
+    return k
 
 
-@dataclass(frozen=True)
-class ConicArc:
+class ConicArc(NamedTuple):
     """Fully resolved symmetric arc on chord ``l`` with sagitta ``f`` and ``k = l/f``.
 
     ``m`` is the axial coordinate of the chord in the conic's canonical frame
@@ -135,13 +144,13 @@ def construct_arc(l: float, f: float, e: float) -> ConicArc:
     ``ConicError`` when a dimension of the arc overflows the float range or
     the semi-latus rectum ``p`` underflows to 0.
     """
-    cls = classify(e)
+    cls, e = classify(e), float(e)  # classify checks float(e)
     l, f = float(l), float(f)
     if not (math.isfinite(l) and math.isfinite(f)):
         raise ConicError(f"chord and sagitta must be finite, got l={l}, f={f}")
     if l <= 0.0 or f <= 0.0:
         raise ConicError(f"chord and sagitta must be positive, got l={l}, f={f}")
-    e, k = _check_feasible(e, l / f)
+    k = _feasible_k(e, l / f)
     # Each angle is taken, and each length rounded, per unit chord before it is
     # scaled by l, so arcs of equal (e, k) agree bit for bit whatever their chord.
     q = 1.0 - e * e
@@ -167,13 +176,7 @@ def construct_arc(l: float, f: float, e: float) -> ConicArc:
         raise ConicError(f"arc dimensions overflow for l={l}, f={f}, e={e}")
     if p == 0.0:
         raise ConicError(f"semi-latus rectum underflows to 0 for l={l}, f={f}, e={e}")
-    # The frozen dataclass __init__ sets each of the 13 fields through
-    # object.__setattr__, about 4x the cost of one dict update; a sweep cell
-    # builds three arcs.  The instance is the same as ConicArc(...) would give.
-    arc = object.__new__(ConicArc)
-    arc.__dict__.update(conic_class=cls, e=e, l=l, f=f, k=k, a=a, b=b, c_focal=c_focal,
-                        m=m, p=p, s=s, beta=beta, alpha=alpha)
-    return arc
+    return ConicArc(cls, e, l, f, k, a, b, c_focal, m, p, s, beta, alpha)
 
 
 def sample_points(arc: ConicArc, n: int) -> np.ndarray:

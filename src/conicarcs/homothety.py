@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import ConicError
 from .textfmt import fmt
@@ -181,8 +182,7 @@ def homothety_ratio(tri: PlanarTriangle, k: float) -> float:
     return ratio
 
 
-@dataclass(frozen=True)
-class HomothetyReport:
+class HomothetyReport(NamedTuple):
     centre: Point
     ratio: float
     enveloping: PlanarTriangle
@@ -211,4 +211,4 @@ def verify_homothety(tri: PlanarTriangle, k: float) -> HomothetyReport:
     devs.append(abs(abs(_cross(env.p3 - env.p2, centre - env.p2)) / env.l1 - reach))
     if not all(map(math.isfinite, devs)):
         raise ConicError(f"homothety max_deviation is not finite for k={fmt(k)}")
-    return HomothetyReport(centre=centre, ratio=ratio, enveloping=env, max_deviation=max(devs))
+    return HomothetyReport(centre, ratio, env, max(devs))

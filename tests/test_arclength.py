@@ -1,6 +1,5 @@
 """Quadrature vs closed forms, brute-force polylines, and the g(e, k) factor."""
 
-import dataclasses
 import importlib.util
 import math
 import random
@@ -202,7 +201,7 @@ def test_nonconvergence_judged_before_scaling():
     arc = construct_arc(1.0, 1.0 / k, 1.0)
     for p in (arc.p, 0.0):
         with pytest.raises(QuadratureNonConvergence, match="relative error estimate"):
-            arc_length(dataclasses.replace(arc, p=p))
+            arc_length(arc._replace(p=p))
 
 
 @pytest.mark.parametrize("e, k_over_min", [(0.5, 3.0), (1.0, 2.0), (2.0, 1.5), (3.0, 1.0 + 1e-6)])

@@ -1,6 +1,5 @@
 """Construction, angles, feasibility, and sampling of single arcs."""
 
-import dataclasses
 import math
 
 import numpy as np
@@ -214,15 +213,14 @@ def test_scale_invariance(e, k, lam):
 
 @pytest.mark.parametrize("e", [0.0, 0.5, 1.0, 2.0])
 def test_constructed_arc_is_a_plain_conic_arc(e):
-    # construct_arc fills the instance dict directly, bypassing the generated __init__
     arc = construct_arc(3.0, 0.375, e)
-    plain = ConicArc(**{f.name: getattr(arc, f.name) for f in dataclasses.fields(ConicArc)})
+    plain = ConicArc(**{name: getattr(arc, name) for name in ConicArc._fields})
     assert arc == plain and hash(arc) == hash(plain) and repr(arc) == repr(plain)
-    assert list(vars(arc).items()) == list(vars(plain).items())
-    moved = dataclasses.replace(arc, p=1.0)
+    assert type(arc) is ConicArc
+    moved = arc._replace(p=1.0)
     assert moved.p == 1.0 and moved != arc
-    assert dataclasses.replace(moved, p=arc.p) == arc
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    assert moved._replace(p=arc.p) == arc
+    with pytest.raises(AttributeError):
         arc.p = 1.0
 
 

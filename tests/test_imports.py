@@ -1,10 +1,12 @@
-"""What the package root exports; numpy and scipy load only when a command needs them."""
+"""What the package root exports, and its result records; numpy and scipy load only when needed."""
 
 import os
 import subprocess
 import sys
 import types
 from pathlib import Path
+
+import pytest
 
 import conicarcs
 
@@ -65,3 +67,38 @@ def test_package_root_exports_what_callers_use():
     public = {name for name, value in vars(conicarcs).items()
               if not name.startswith("_") and not isinstance(value, types.ModuleType)}
     assert public == ROOT_NAMES and len(ROOT_NAMES) == 31
+
+
+# Result records are named tuples: positional and keyword construction, tuple
+# equality and indexing, ``_replace``/``_fields`` in place of ``dataclasses``.
+RECORDS = {
+    "ArcLengthResult": ("length", "error_estimate", "evaluations"),
+    "ConicTriple": ("e", "k", "arcs", "lengths", "residual"),
+    "SweepRow": ("e", "k", "feasible", "c1", "c2", "c3", "residual", "g"),
+    "HomothetyReport": ("centre", "ratio", "enveloping", "max_deviation"),
+    "ConicArc": ("conic_class", "e", "l", "f", "k", "a", "b", "c_focal", "m", "p", "s",
+                 "beta", "alpha"),
+}
+
+
+@pytest.mark.parametrize("name", list(RECORDS))
+def test_result_records_are_named_tuples(name):
+    record, fields = getattr(conicarcs, name), RECORDS[name]
+    assert record._fields == fields
+    values = tuple(float(i) for i in range(len(fields)))
+    rec = record(**dict(zip(fields, values)))
+    assert rec == record(*values) == values and tuple(rec) == values
+    assert [getattr(rec, f) for f in fields] == list(values)
+    assert rec._replace(**{fields[0]: -1.0}) == (-1.0, *values[1:])
+    with pytest.raises(AttributeError):
+        setattr(rec, fields[0], -1.0)
+    assert record._field_defaults == (
+        dict.fromkeys(fields[3:]) if name == "SweepRow" else {})
+
+
+def test_record_defaults_and_repr():
+    assert conicarcs.SweepRow(0.0, 4.0, False) == (0.0, 4.0, False, None, None, None, None, None)
+    res = conicarcs.ArcLengthResult(length=1.5, error_estimate=1e-15, evaluations=21)
+    assert repr(res) == "ArcLengthResult(length=1.5, error_estimate=1e-15, evaluations=21)"
+    arc = conicarcs.construct_arc(l=1.0, f=0.25, e=0.5)
+    assert repr(conicarcs.arc_length(arc)).startswith("ArcLengthResult(length=1.15607")

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import random
 
 import pytest
 from pytest import approx
@@ -9,13 +10,18 @@ from pytest import approx
 from conicarcs import (
     ConicError,
     InfeasibleSagitta,
+    arc_length,
+    build_scene,
     conic_triple,
+    construct_arc,
     feasibility_min_k,
     g_factor,
     make_right_triangle,
+    place_triangle,
     sweep,
     sweep_csv,
 )
+from conicarcs.textfmt import fmt
 from conicarcs.triples import SWEEP_CSV_HEADER, _residual
 
 
@@ -73,6 +79,21 @@ def test_triple_nonpositive_k_infeasible():
         conic_triple(make_right_triangle(3.0, 4.0), 1.0, 0.0)
     with pytest.raises(InfeasibleSagitta):
         conic_triple(make_right_triangle(3.0, 4.0), 0.5, -2.0)
+
+
+@pytest.mark.parametrize("k", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("entry", ["conic_triple", "build_scene", "g_factor"])
+def test_nonfinite_k_is_named(entry, k):
+    calls = {
+        "conic_triple": lambda e, k: conic_triple(make_right_triangle(3.0, 4.0), e, k),
+        "build_scene": lambda e, k: build_scene(place_triangle(4.0, 3.0), e, k, 16),
+        "g_factor": g_factor,
+    }
+    with pytest.raises(ConicError, match=f"^k must be finite, got {k}$") as info:
+        calls[entry](0.5, k)
+    assert type(info.value) is ConicError
+    with pytest.raises(ConicError, match="eccentricity must be >= 0"):  # e is still checked first
+        calls[entry](-0.5, k)
 
 
 def test_triple_sagittae_exactly_proportional():
@@ -170,3 +191,46 @@ def test_sweep_csv_bytes_pinned():
     assert [r.feasible for r in rows if r.e == 1000.0] == [False] * 6 + [True]
     assert hashlib.sha256(sweep_csv(rows).encode()).hexdigest() == (
         "de2eb0158330590a98649ee6006b6c0aaa84c0097b39c31a9db75e74833ade73")
+
+
+def _sweep_csv_by_fmt(rows) -> str:
+    """The CSV built one cell at a time with ``fmt``."""
+    lines = [SWEEP_CSV_HEADER]
+    for r in rows:
+        cells = [fmt(r.e), fmt(r.k), "true" if r.feasible else "false"]
+        cells += ["" if v is None else fmt(v) for v in (r.c1, r.c2, r.c3, r.residual, r.g)]
+        lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("legs", [(3.0, 4.0), (1e-300, 2.5e-300), (1.1e300, 3e299)])
+def test_sweep_csv_matches_fmt_cell_by_cell(legs):
+    rng = random.Random(2)
+    e_values = [-0.0, 1.0] + [rng.uniform(0.0, 3.0) for _ in range(6)]
+    k_values = [10.0 ** rng.uniform(-0.3, 3.0) for _ in range(8)]
+    rows = sweep(make_right_triangle(*legs), e_values, k_values)
+    assert {r.feasible for r in rows} == {True, False}
+    assert math.copysign(1.0, rows[0].e) == -1.0
+    text = sweep_csv(rows)
+    assert text == _sweep_csv_by_fmt(rows)
+    assert text.splitlines()[1].startswith("0,")
+
+
+def test_triple_lengths_equal_single_arc_lengths_bitwise():
+    # each side's length is the length of its own arc, built from f = l/k,
+    # also on sides where l/(l/k) != k
+    rng = random.Random(1)
+    rounded = 0
+    for _ in range(3):
+        tri = make_right_triangle(10.0 ** rng.uniform(-3, 3), 10.0 ** rng.uniform(-3, 3))
+        sides = (tri.l1, tri.l2, tri.l3)
+        e_values = [0.0, 1.0] + [rng.uniform(0.0, 3.0) for _ in range(6)]
+        k_values = [10.0 ** rng.uniform(math.log10(0.5), math.log10(200.0)) for _ in range(8)]
+        for row in sweep(tri, e_values, k_values):
+            if not row.feasible:
+                continue
+            single = [arc_length(construct_arc(l, l / row.k, row.e)).length for l in sides]
+            assert [row.c1, row.c2, row.c3] == single
+            assert list(conic_triple(tri, row.e, row.k).lengths) == single
+            rounded += any(l / (l / row.k) != row.k for l in sides)
+    assert rounded > 0
