@@ -74,9 +74,8 @@ def arc_length(arc: ConicArc) -> ArcLengthResult:
     The dimensionless integral over [-beta, beta] is evaluated first and then
     scaled by the semi-latus rectum, so equal (e, k) give bitwise-equal length
     ratios across chords.  Raises ``QuadratureNonConvergence`` if the error
-    estimate of the integral still exceeds 1e-12 of its value after the
-    subdivision budget, which only happens extremely close to the hyperbola's
-    asymptote domain.
+    estimate still exceeds 1e-12 of the integral after the subdivision budget,
+    or 1 + e cos(theta) rounds to 0 at a node: both only next to the asymptote.
     """
     e = arc.e
     esq = e * e
@@ -87,7 +86,11 @@ def arc_length(arc: ConicArc) -> ArcLengthResult:
         denom = 1.0 + c
         return math.sqrt(1.0 + 2.0 * c + esq) / (denom * denom)
 
-    out = _qagse()(integrand, -arc.beta, arc.beta, (), 1, 0.0, _REL_TOL, _MAX_SUBDIVISIONS)
+    try:
+        out = _qagse()(integrand, -arc.beta, arc.beta, (), 1, 0.0, _REL_TOL, _MAX_SUBDIVISIONS)
+    except ZeroDivisionError:
+        raise QuadratureNonConvergence(f"1 + e*cos(theta) rounds to 0 at a quadrature node "
+                                       f"(e={fmt(e)}, k={fmt(arc.k)})") from None
     value, abserr, info = out[0], out[1], out[2]
     # judged before scaling by p, so an underflowing p cannot hide a failure; NaN fails too
     if not abserr <= _REL_TOL * value:

@@ -55,8 +55,13 @@ def _dot(u: Point, v: Point, m: int) -> float:
             + math.ldexp(u.y, -m) * math.ldexp(v.y, -m))
 
 
-def _cross(u: Point, v: Point) -> float:
-    return u.x * v.y - u.y * v.x
+def _cross(u: Point, v: Point) -> tuple[float, int]:
+    """``(u x v / 4^m, m)`` from coordinates scaled exactly by 2^-m, m half the summed
+    exponents of the larger product (a zero factor has none), which lands in [1/4, 2)."""
+    m = max((math.frexp(a)[1] + math.frexp(b)[1] for a, b in ((u.x, v.y), (u.y, v.x)) if a and b),
+            default=0) // 2
+    return (math.ldexp(u.x, -m) * math.ldexp(v.y, -m)
+            - math.ldexp(u.y, -m) * math.ldexp(v.x, -m)), m
 
 
 def _dist(a: Point, b: Point) -> float:
@@ -64,10 +69,10 @@ def _dist(a: Point, b: Point) -> float:
 
 
 def _intersect_lines(p1: Point, d1: Point, p2: Point, d2: Point) -> Point:
-    den = _cross(d1, d2)
-    if den == 0.0:
-        raise ConicError("envelope vertex undefined: its two sides are parallel to rounding")
-    return p1 + d1.scaled(_cross(p2 - p1, d2) / den)
+    """Where line p1 + t d1 meets line p2 + s d2; ZeroDivisionError if parallel to rounding."""
+    den, m_den = _cross(d1, d2)
+    num, m_num = _cross(p2 - p1, d2)
+    return p1 + d1.scaled(math.ldexp(num / den, 2 * (m_num - m_den)))
 
 
 @dataclass(frozen=True)
@@ -127,7 +132,7 @@ def pythagorean_centre(tri: PlanarTriangle) -> Point:
 
 def _orientation(tri: PlanarTriangle) -> float:
     """+1.0 if P1, P2, P3 run counter-clockwise, -1.0 if clockwise."""
-    return math.copysign(1.0, _cross(tri.p2 - tri.p1, tri.p3 - tri.p1))
+    return math.copysign(1.0, _cross(tri.p2 - tri.p1, tri.p3 - tri.p1)[0])
 
 
 def _sides(tri: PlanarTriangle) -> tuple[tuple[Point, Point, float], ...]:
@@ -146,8 +151,9 @@ def _offset_side(a: Point, b: Point, length: float, k: float,
                  orient: float) -> tuple[Point, Point]:
     """Line of side a->b (of that length) pushed outward by length / k: (point, direction)."""
     d = b - a
-    scale = orient / length
-    n = Point(d.y * scale, -d.x * scale)
+    m = math.frexp(length)[1]  # so that 1 / length cannot overflow for a subnormal side
+    scale = orient / math.ldexp(length, -m)
+    n = Point(math.ldexp(d.y, -m) * scale, -math.ldexp(d.x, -m) * scale)
     return a + n.scaled(length / k), d
 
 
@@ -156,16 +162,28 @@ def enveloping_triangle(tri: PlanarTriangle, k: float) -> PlanarTriangle:
 
     Its sides pass through the sagitta tips of the arc family with ratio k and
     stay parallel to the original sides, so the result is similar to ``tri``.
+    Raises ``ConicError`` if a vertex or the hypotenuse is out of the float range,
+    or if two sides that meet at a vertex are parallel to rounding.
     """
     k = _check_k(k)
     orient = _orientation(tri)
-    side1, side2, side3 = (_offset_side(a, b, l, k, orient) for a, b, l in _sides(tri))
-    q1 = _intersect_lines(*side3, *side2)
-    # Step from Q1 along each leg direction, so Q1Q2 and Q1Q3 stay perpendicular
-    # to rounding even when one leg is far shorter than the hypotenuse.
-    q2 = _intersect_lines(q1, side2[1], *side1)
-    q3 = _intersect_lines(q1, side3[1], *side1)
-    return PlanarTriangle(q1, q2, q3)
+    try:
+        side1, side2, side3 = (_offset_side(a, b, l, k, orient) for a, b, l in _sides(tri))
+        q1 = _intersect_lines(*side3, *side2)
+        # Step from Q1 along each leg direction, so Q1Q2 and Q1Q3 stay perpendicular
+        # to rounding even when one leg is far shorter than the hypotenuse.
+        q2 = _intersect_lines(q1, side2[1], *side1)
+        q3 = _intersect_lines(q1, side3[1], *side1)
+    except ZeroDivisionError:
+        raise ConicError("envelope vertex undefined: "
+                         "its two sides are parallel to rounding") from None
+    except (OverflowError, ConicError):  # ldexp's overflow, or a point with a non-finite component
+        pass
+    else:
+        env = PlanarTriangle(q1, q2, q3)
+        if env.l1 < math.inf:
+            return env
+    raise ConicError(f"envelope vertex or hypotenuse is out of the float range for k={fmt(k)}")
 
 
 def homothety_ratio(tri: PlanarTriangle, k: float) -> float:
@@ -195,9 +213,11 @@ def verify_homothety(tri: PlanarTriangle, k: float) -> HomothetyReport:
     ``max_deviation`` collects, in length units, the vertex mismatches of the
     homothety image against the offset-line construction and the defect of the
     centre sitting at the midpoint of the envelope's own altitude (distance
-    h1/2 + f1 to both the vertex Q1 and the enveloping hypotenuse).  A finite
-    deviation is reported, never raised, so callers can print diagnostics; a
-    deviation or ratio that is not finite raises ``ConicError``.
+    h1/2 + f1 to both the vertex Q1 and the enveloping hypotenuse, taken from
+    ``_cross`` at its scale 4^m over l1 scaled by 2^-m, then scaled back by 2^m).
+    A finite deviation is reported, never raised, so callers can print
+    diagnostics; a ratio, envelope or deviation that is not finite raises
+    ``ConicError``.
     """
     centre = pythagorean_centre(tri)
     k = _check_k(k)
@@ -208,7 +228,8 @@ def verify_homothety(tri: PlanarTriangle, k: float) -> HomothetyReport:
     _, h1 = altitude_from_right_angle(tri)
     reach = h1 / 2.0 + tri.l1 / k
     devs.append(abs(_dist(centre, env.p1) - reach))
-    devs.append(abs(abs(_cross(env.p3 - env.p2, centre - env.p2)) / env.l1 - reach))
+    area, m = _cross(env.p3 - env.p2, centre - env.p2)
+    devs.append(abs(math.ldexp(abs(area) / math.ldexp(env.l1, -m), m) - reach))
     if not all(map(math.isfinite, devs)):
         raise ConicError(f"homothety max_deviation is not finite for k={fmt(k)}")
     return HomothetyReport(centre, ratio, env, max(devs))

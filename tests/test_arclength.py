@@ -16,11 +16,14 @@ from conicarcs import (
     InfeasibleSagitta,
     QuadratureNonConvergence,
     arc_length,
+    conic_triple,
     construct_arc,
     feasibility_min_k,
     g_factor,
+    make_right_triangle,
 )
 from conicarcs.arclength import closed_form_circle, closed_form_parabola, polyline_length
+from conicarcs.textfmt import fmt
 
 GRID_E = [0.0, 0.3, 0.7, 1.0, 1.5, 3.0]
 GRID_K = [4.0, 8.0, 16.0]
@@ -191,6 +194,17 @@ def test_nonconvergence_near_asymptote_domain():
     k = feasibility_min_k(e) * (1.0 + 1e-6)
     with pytest.raises(QuadratureNonConvergence):
         arc_length(construct_arc(1.0, 1.0 / k, e))
+
+
+def test_integrand_pole_at_a_node_raises_nonconvergence():
+    # k = l/f is one ulp above 2 sqrt(e^2 - 1); 1 + e cos(theta) rounds to 0 at a node
+    e = 1.3525812688823207
+    arc = construct_arc(0.8193141995619333, 0.4497990671475703, e)
+    named = rf"e=1.3525812688823207, k={re.escape(fmt(arc.k))}"
+    with pytest.raises(QuadratureNonConvergence, match=named):
+        arc_length(arc)
+    with pytest.raises(QuadratureNonConvergence, match=named):
+        conic_triple(make_right_triangle(4.0, 3.0), e, arc.k)
 
 
 def test_nonconvergence_judged_before_scaling():

@@ -4,6 +4,7 @@ import json
 import math
 import random
 import re
+import sys
 
 import pytest
 from pytest import approx
@@ -184,21 +185,58 @@ def test_scene_centre_where_squares_overflow(capsys):
     assert '  "centre": [[2.7375565610859731e+153, 2.4886877828054296e+153]]\n' in out
 
 
+ENVELOPE_OUT_OF_RANGE = "envelope vertex or hypotenuse is out of the float range"
+
+
+# each true result is beyond the float range: ratio*l1, the envelope's hypotenuse,
+# is about 5.7e310, 2e310 (the ratio itself), 5.7e308, 2.1e308 (its vertices still
+# fit) and 7.5e308 (the squares of its legs overflow)
 @pytest.mark.parametrize("argv, quantity", [
-    (("centre", "--leg2", "2.4774103921533255e+34", "--leg3", "9.593303873166702e+93",
-      "--k-list", "9.500296558812161e-85"), "max_deviation is not finite"),
+    (("centre", "--leg2", "1e300", "--leg3", "1e300", "--k-list", "1e-10"),
+     ENVELOPE_OUT_OF_RANGE),
     (("centre", "--leg2", "1", "--leg3", "1e-300", "--k-list", "1e-10"),
-     "ratio 1 + 2 l1/(k h1) is out of the float range"),  # the ratio is about 2e310
-    (("scene", "--leg2", "2.4406638657537616e-288", "--leg3", "1.4119728365866371e-58",
-      "--e", "1e6", "--k", "2.0676034113574253e+25"), "envelope vertex undefined"),
-    (("centre", "--leg2", "1e-200", "--leg3", "1e-200"), "envelope vertex undefined"),
-    (("centre", "--leg2", "1e154", "--leg3", "1.1e154", "--k-list", "8"),
-     "max_deviation is not finite"),
+     "ratio 1 + 2 l1/(k h1) is out of the float range"),
+    (("scene", "--leg2", "1e300", "--leg3", "1e300", "--e", "1", "--k", "1e-8"),
+     ENVELOPE_OUT_OF_RANGE),
+    (("centre", "--leg2", "1e300", "--leg3", "1e300", "--k-list", "2.67e-8"),
+     ENVELOPE_OUT_OF_RANGE),
+    (("centre", "--leg2", "1e154", "--leg3", "1.1e154", "--k-list", "8e-155"),
+     ENVELOPE_OUT_OF_RANGE),
 ], ids=["deviation", "ratio", "envelope-vertex", "altitude-foot", "deviation-squares-overflow"])
 def test_envelope_out_of_float_range_exit_1(capsys, argv, quantity):
     code, out, err = run(capsys, *argv)
     assert (code, out) == (1, "")
     assert err.startswith("conicarcs: error: ") and quantity in err
+
+
+# where a product of coordinates leaves the float range but the envelope does not
+@pytest.mark.parametrize("legs, k_list", [
+    (("1e-200", "1e-200"), "4,8,16"),
+    (("1e150", "1e200"), "4,8,16"),
+    (("1e154", "1.1e154"), "8"),
+    (("1.22e-269", "1.04e-51"), "0.153"),
+], ids=["tiny", "squares-overflow", "hypotenuse-square-overflows", "skinny"])
+def test_centre_answers_wherever_the_envelope_fits(capsys, legs, k_list):
+    code, out, err = run(capsys, "centre", "--leg2", legs[0], "--leg3", legs[1], "--k-list", k_list)
+    assert (code, err) == (0, "")
+    l1 = math.hypot(*map(float, legs))
+    reports = re.findall(r"^k=\S+ ratio=(\S+) max_deviation=(\S+)$", out, flags=re.M)
+    assert len(reports) == len(k_list.split(","))
+    for ratio, deviation in reports:
+        assert float(deviation) <= 64 * sys.float_info.epsilon * float(ratio) * l1
+
+
+def test_centre_ratios_of_a_tiny_triangle(capsys):
+    _, out, _ = run(capsys, "centre", "--leg2", "1e-200", "--leg3", "1e-200")
+    assert re.findall(r"ratio=(\S+)", out) == ["2", "1.5", "1.25"]
+
+
+def test_arclen_integrand_pole_at_a_node_exit_1(capsys):
+    # k one ulp above 2 sqrt(e^2 - 1): 1 + e cos(theta) rounds to 0 at a QUADPACK node
+    code, out, err = run(capsys, "arclen", "--l", "0.8193141995619333",
+                         "--f", "0.4497990671475703", "--e", "1.3525812688823207")
+    assert (code, out) == (1, "")
+    assert err.startswith("conicarcs: error: ") and "Traceback" not in err
 
 
 def test_empty_list_flag_exit_1(capsys):
@@ -306,7 +344,8 @@ def fuzz_line(rng: random.Random) -> list[str]:
 @pytest.mark.filterwarnings("error")
 def test_contract_holds_on_fuzzed_command_lines(capsys):
     """Exit code 0-3, no escaping exception, finite numbers on success, no
-    stdout on error, for 300 seeded command lines over all seven subcommands."""
+    stdout on error and a refusal that names the quantity it refuses, for 300
+    seeded command lines over all seven subcommands."""
     rng = random.Random("cli contract")
     broken = []
     for _ in range(300):
@@ -317,11 +356,13 @@ def test_contract_holds_on_fuzzed_command_lines(capsys):
             capsys.readouterr()
             broken.append((argv, f"raised {type(exc).__name__}: {exc}"))
             continue
-        out = capsys.readouterr().out
+        out, err = capsys.readouterr()
         if code not in (0, 1, 2, 3):
             broken.append((argv, f"exit {code}"))
         elif code == 0 and NON_FINITE.search(out):
             broken.append((argv, "non-finite number on stdout"))
         elif code in (1, 3) and out:
             broken.append((argv, f"exit {code} with stdout"))
+        elif code == 1 and "point components must be finite" in err:
+            broken.append((argv, "a refusal that names no quantity"))
     assert not broken

@@ -193,9 +193,10 @@ def test_homothety_ratio_values():
 # Finite inputs whose envelope leaves the float range: each raises ConicError
 # naming the quantity instead of a ZeroDivisionError or an infinite deviation.
 def test_verify_homothety_rejects_infinite_deviation():
-    tri = place_triangle(2.4774103921533255e+34, 9.593303873166702e+93)
-    with pytest.raises(ConicError, match="max_deviation is not finite"):
-        verify_homothety(tri, 9.500296558812161e-85)
+    # ratio about 4e10, envelope about 5.7e310: no deviation can be measured on it
+    tri = place_triangle(1e300, 1e300)
+    with pytest.raises(ConicError, match="envelope vertex or hypotenuse is out of the float range"):
+        verify_homothety(tri, 1e-10)
 
 
 # the true ratios, 1 + 2 l1/(k h1), are about 2e310
@@ -210,9 +211,11 @@ def test_homothety_ratio_rejects_ratio_out_of_range(legs, k, h1):
 
 
 def test_enveloping_triangle_rejects_sides_parallel_to_rounding():
-    tri = place_triangle(2.4406638657537616e-288, 1.4119728365866371e-58)
+    # P3 - P2 rounds to -P2, so the hypotenuse is parallel to the leg P1P2 in floats
+    c, s = math.cos(0.5), math.sin(0.5)
+    tri = PlanarTriangle(Point(0.0, 0.0), Point(c, s), Point(-1e-20 * s, 1e-20 * c))
     with pytest.raises(ConicError, match="envelope vertex undefined"):
-        enveloping_triangle(tri, 2.0676034113574253e+25)
+        enveloping_triangle(tri, 8.0)
 
 
 def test_altitude_exact_where_the_hypotenuse_square_underflows():
