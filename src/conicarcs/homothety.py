@@ -49,19 +49,35 @@ class Point:
         return Point(t * self.x, t * self.y)
 
 
-def _dot(u: Point, v: Point, m: int) -> float:
-    """u . v / 4^m from coordinates scaled exactly by 2^-m; in range for lengths near 2^m."""
-    return (math.ldexp(u.x, -m) * math.ldexp(v.x, -m)
-            + math.ldexp(u.y, -m) * math.ldexp(v.y, -m))
+# Products, sums and quotients of coordinates and lengths carry a value as a pair
+# (v, e) meaning v * 2^e, so that no intermediate leaves the float range; where
+# every intermediate is normal, the result has the bits of the plain expression.
+def _mul(a: float, b: float) -> tuple[float, int]:
+    """a * b from the factors' ``frexp``: never out of range."""
+    (ma, ea), (mb, eb) = math.frexp(a), math.frexp(b)
+    return ma * mb, ea + eb
+
+
+def _add(p: tuple[float, int], q: tuple[float, int]) -> tuple[float, int]:
+    """p + q at the larger exponent of its nonzero terms."""
+    (a, ea), (b, eb) = p, q
+    e = max(ea if a else eb, eb if b else ea)
+    return math.ldexp(a, ea - e) + math.ldexp(b, eb - e), e
+
+
+def _div(p: tuple[float, int], q: tuple[float, int]) -> float:
+    """p / q; ``OverflowError`` only if the quotient is beyond the float range,
+    ``ZeroDivisionError`` if q is 0."""
+    (mp, ep), (mq, eq) = math.frexp(p[0]), math.frexp(q[0])
+    return math.ldexp(mp / mq, p[1] + ep - q[1] - eq)
+
+
+def _dot(u: Point, v: Point) -> tuple[float, int]:
+    return _add(_mul(u.x, v.x), _mul(u.y, v.y))
 
 
 def _cross(u: Point, v: Point) -> tuple[float, int]:
-    """``(u x v / 4^m, m)`` from coordinates scaled exactly by 2^-m, m half the summed
-    exponents of the larger product (a zero factor has none), which lands in [1/4, 2)."""
-    m = max((math.frexp(a)[1] + math.frexp(b)[1] for a, b in ((u.x, v.y), (u.y, v.x)) if a and b),
-            default=0) // 2
-    return (math.ldexp(u.x, -m) * math.ldexp(v.y, -m)
-            - math.ldexp(u.y, -m) * math.ldexp(v.x, -m)), m
+    return _add(_mul(u.x, v.y), _mul(-u.y, v.x))
 
 
 def _dist(a: Point, b: Point) -> float:
@@ -69,10 +85,9 @@ def _dist(a: Point, b: Point) -> float:
 
 
 def _intersect_lines(p1: Point, d1: Point, p2: Point, d2: Point) -> Point:
-    """Where line p1 + t d1 meets line p2 + s d2; ZeroDivisionError if parallel to rounding."""
-    den, m_den = _cross(d1, d2)
-    num, m_num = _cross(p2 - p1, d2)
-    return p1 + d1.scaled(math.ldexp(num / den, 2 * (m_num - m_den)))
+    """Where line p1 + t d1 meets line p2 + s d2; ZeroDivisionError if parallel to rounding,
+    OverflowError if t is beyond the float range."""
+    return p1 + d1.scaled(_div(_cross(p2 - p1, d2), _cross(d1, d2)))
 
 
 @dataclass(frozen=True)
@@ -96,8 +111,7 @@ class PlanarTriangle:
         l3 = _dist(p1, p3)
         if l2 <= 0.0 or l3 <= 0.0:
             raise ConicError("triangle vertices must be distinct")
-        m = math.frexp(max(l2, l3))[1]
-        if abs(_dot(p2 - p1, p3 - p1, m)) > 1e-12 * math.ldexp(l2, -m) * math.ldexp(l3, -m):
+        if abs(_div(_dot(p2 - p1, p3 - p1), _mul(l2, l3))) > 1e-12:
             raise ConicError("triangle is not right-angled at P1")
         object.__setattr__(self, "l1", _dist(p2, p3))
         object.__setattr__(self, "l2", l2)
@@ -117,11 +131,8 @@ def place_triangle(l2: float, l3: float) -> PlanarTriangle:
 def altitude_from_right_angle(tri: PlanarTriangle) -> tuple[Point, float]:
     """Foot of the altitude from P1 onto the hypotenuse, and its length l2*l3/l1."""
     d = tri.p3 - tri.p2
-    m = math.frexp(tri.l1)[1]
-    t = _dot(tri.p1 - tri.p2, d, m) / _dot(d, d, m)
-    foot = tri.p2 + d.scaled(t)
-    short, long = sorted((tri.l2, tri.l3))
-    return foot, math.ldexp(long, -m) * short / math.ldexp(tri.l1, -m)
+    foot = tri.p2 + d.scaled(_div(_dot(tri.p1 - tri.p2, d), _dot(d, d)))
+    return foot, _div(_mul(tri.l2, tri.l3), (tri.l1, 0))
 
 
 def pythagorean_centre(tri: PlanarTriangle) -> Point:
@@ -177,7 +188,7 @@ def enveloping_triangle(tri: PlanarTriangle, k: float) -> PlanarTriangle:
     except ZeroDivisionError:
         raise ConicError("envelope vertex undefined: "
                          "its two sides are parallel to rounding") from None
-    except (OverflowError, ConicError):  # ldexp's overflow, or a point with a non-finite component
+    except (OverflowError, ConicError):  # t beyond the float range, or a non-finite point
         pass
     else:
         env = PlanarTriangle(q1, q2, q3)
@@ -191,13 +202,15 @@ def homothety_ratio(tri: PlanarTriangle, k: float) -> float:
 
     Raises ``ConicError`` when the ratio is out of the float range.
     """
-    k = _check_k(k)
-    _, h1 = altitude_from_right_angle(tri)
-    ratio = 1.0 + 2.0 * tri.l1 / (k * h1) if k * h1 > 0.0 else math.inf
-    if not math.isfinite(ratio):
+    return _ratio(tri, _check_k(k), altitude_from_right_angle(tri)[1])
+
+
+def _ratio(tri: PlanarTriangle, k: float, h1: float) -> float:
+    try:
+        return 1.0 + _div(_mul(2.0, tri.l1), _mul(k, h1))
+    except (OverflowError, ZeroDivisionError):  # h1 is 0 only for a hypotenuse of inf
         raise ConicError(f"homothety ratio 1 + 2 l1/(k h1) is out of the float range for "
-                         f"k={fmt(k)}, l1={fmt(tri.l1)}, altitude h1={fmt(h1)}")
-    return ratio
+                         f"k={fmt(k)}, l1={fmt(tri.l1)}, altitude h1={fmt(h1)}") from None
 
 
 class HomothetyReport(NamedTuple):
@@ -213,23 +226,21 @@ def verify_homothety(tri: PlanarTriangle, k: float) -> HomothetyReport:
     ``max_deviation`` collects, in length units, the vertex mismatches of the
     homothety image against the offset-line construction and the defect of the
     centre sitting at the midpoint of the envelope's own altitude (distance
-    h1/2 + f1 to both the vertex Q1 and the enveloping hypotenuse, taken from
-    ``_cross`` at its scale 4^m over l1 scaled by 2^-m, then scaled back by 2^m).
+    h1/2 + f1 to both the vertex Q1 and the enveloping hypotenuse).
     A finite deviation is reported, never raised, so callers can print
     diagnostics; a ratio, envelope or deviation that is not finite raises
     ``ConicError``.
     """
-    centre = pythagorean_centre(tri)
     k = _check_k(k)
-    ratio = homothety_ratio(tri, k)
+    foot, h1 = altitude_from_right_angle(tri)
+    centre = (tri.p1 + foot).scaled(0.5)
+    ratio = _ratio(tri, k, h1)
     env = enveloping_triangle(tri, k)
     devs = [_dist(centre + (orig - centre).scaled(ratio), img)
             for orig, img in ((tri.p1, env.p1), (tri.p2, env.p2), (tri.p3, env.p3))]
-    _, h1 = altitude_from_right_angle(tri)
     reach = h1 / 2.0 + tri.l1 / k
     devs.append(abs(_dist(centre, env.p1) - reach))
-    area, m = _cross(env.p3 - env.p2, centre - env.p2)
-    devs.append(abs(math.ldexp(abs(area) / math.ldexp(env.l1, -m), m) - reach))
+    devs.append(abs(abs(_div(_cross(env.p3 - env.p2, centre - env.p2), (env.l1, 0))) - reach))
     if not all(map(math.isfinite, devs)):
         raise ConicError(f"homothety max_deviation is not finite for k={fmt(k)}")
     return HomothetyReport(centre, ratio, env, max(devs))

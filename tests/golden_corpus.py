@@ -64,6 +64,9 @@ EDGE_LINES = [
     "centre --leg2 2.0637662528914005e-198 --leg3 2.7345506905916405e-208 "
     "--k-list 2.4954549189704416e-116",
     "sweep --leg2 3 --leg3 4 --e-list=-0,1 --k-list=-0,8",
+    "scene --leg2 2.505949602059389e+295 --leg3 3.5e-323 --e 1 --k 14.413404039972242",
+    "scene --leg2 2e-323 --leg3 8.015632967165127e+307 --e 1 --k 1.7580264592430306e+226",
+    "arclen --l 0.003999997999934722 --f 1 --e 0.999998",
 ]
 
 

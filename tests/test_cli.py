@@ -5,6 +5,7 @@ import math
 import random
 import re
 import sys
+from fractions import Fraction
 
 import pytest
 from pytest import approx
@@ -190,7 +191,7 @@ ENVELOPE_OUT_OF_RANGE = "envelope vertex or hypotenuse is out of the float range
 
 # each true result is beyond the float range: ratio*l1, the envelope's hypotenuse,
 # is about 5.7e310, 2e310 (the ratio itself), 5.7e308, 2.1e308 (its vertices still
-# fit) and 7.5e308 (the squares of its legs overflow)
+# fit), 7.5e308 (the squares of its legs overflow) and 2.8e308 (the ratio is 2)
 @pytest.mark.parametrize("argv, quantity", [
     (("centre", "--leg2", "1e300", "--leg3", "1e300", "--k-list", "1e-10"),
      ENVELOPE_OUT_OF_RANGE),
@@ -202,27 +203,36 @@ ENVELOPE_OUT_OF_RANGE = "envelope vertex or hypotenuse is out of the float range
      ENVELOPE_OUT_OF_RANGE),
     (("centre", "--leg2", "1e154", "--leg3", "1.1e154", "--k-list", "8e-155"),
      ENVELOPE_OUT_OF_RANGE),
-], ids=["deviation", "ratio", "envelope-vertex", "altitude-foot", "deviation-squares-overflow"])
+    (("centre", "--leg2", "1e308", "--leg3", "1e308"), ENVELOPE_OUT_OF_RANGE),
+], ids=["deviation", "ratio", "envelope-vertex", "altitude-foot", "deviation-squares-overflow",
+        "ratio-fits"])
 def test_envelope_out_of_float_range_exit_1(capsys, argv, quantity):
     code, out, err = run(capsys, *argv)
     assert (code, out) == (1, "")
     assert err.startswith("conicarcs: error: ") and quantity in err
 
 
-# where a product of coordinates leaves the float range but the envelope does not
+# where a product of coordinates leaves the float range but the envelope does not;
+# the ratio is within 4 eps of its exact value 1 + 2 (l2^2 + l3^2) / (k l2 l3)
 @pytest.mark.parametrize("legs, k_list", [
     (("1e-200", "1e-200"), "4,8,16"),
     (("1e150", "1e200"), "4,8,16"),
     (("1e154", "1.1e154"), "8"),
     (("1.22e-269", "1.04e-51"), "0.153"),
-], ids=["tiny", "squares-overflow", "hypotenuse-square-overflows", "skinny"])
+    (("2.263083168341919e-95", "2.2727600055584334e-243"), "4.744786136076355e-143"),
+    (("2.0637662528914005e-198", "2.7345506905916405e-208"), "2.4954549189704416e-116"),
+], ids=["tiny", "squares-overflow", "hypotenuse-square-overflows", "skinny",
+        "k-h1-underflows", "k-h1-subnormal"])
 def test_centre_answers_wherever_the_envelope_fits(capsys, legs, k_list):
     code, out, err = run(capsys, "centre", "--leg2", legs[0], "--leg3", legs[1], "--k-list", k_list)
     assert (code, err) == (0, "")
     l1 = math.hypot(*map(float, legs))
-    reports = re.findall(r"^k=\S+ ratio=(\S+) max_deviation=(\S+)$", out, flags=re.M)
+    l2, l3 = (Fraction(float(leg)) for leg in legs)
+    reports = re.findall(r"^k=(\S+) ratio=(\S+) max_deviation=(\S+)$", out, flags=re.M)
     assert len(reports) == len(k_list.split(","))
-    for ratio, deviation in reports:
+    for k, ratio, deviation in reports:
+        exact = 1 + 2 * (l2 * l2 + l3 * l3) / (Fraction(float(k)) * l2 * l3)
+        assert abs(Fraction(float(ratio)) - exact) <= 4 * sys.float_info.epsilon * exact
         assert float(deviation) <= 64 * sys.float_info.epsilon * float(ratio) * l1
 
 
@@ -235,6 +245,19 @@ def test_arclen_integrand_pole_at_a_node_exit_1(capsys):
     # k one ulp above 2 sqrt(e^2 - 1): 1 + e cos(theta) rounds to 0 at a QUADPACK node
     code, out, err = run(capsys, "arclen", "--l", "0.8193141995619333",
                          "--f", "0.4497990671475703", "--e", "1.3525812688823207")
+    assert (code, out) == (1, "")
+    assert err.startswith("conicarcs: error: ") and "Traceback" not in err
+
+
+# legs at opposite ends of the float range: a product of their coordinates once
+# raised OverflowError, which is not a ValueError and escaped main as a traceback
+@pytest.mark.parametrize("legs, k", [
+    (("2.505949602059389e+295", "3.5e-323"), "14.413404039972242"),
+    (("2e-323", "8.015632967165127e+307"), "1.7580264592430306e+226"),
+], ids=["long-leg2", "long-leg3"])
+def test_scene_legs_at_both_float_range_ends_exit_1(capsys, legs, k):
+    code, out, err = run(capsys, "scene", "--leg2", legs[0], "--leg3", legs[1], "--e", "1",
+                         "--k", k)
     assert (code, out) == (1, "")
     assert err.startswith("conicarcs: error: ") and "Traceback" not in err
 

@@ -188,6 +188,7 @@ def test_homothety_ratio_values():
     assert homothety_ratio(tri, 8.0) == approx(1.5208333333333333, rel=1e-14)
     assert homothety_ratio(tri, 1e12) == approx(1.0, rel=1e-11)
     assert homothety_ratio(place_triangle(1.0, 1.0), 4.0) == approx(2.0, rel=1e-14)
+    assert homothety_ratio(place_triangle(1e308, 1e308), 4.0) == 2.0  # 2 l1 is above the float range
 
 
 # Finite inputs whose envelope leaves the float range: each raises ConicError
@@ -208,6 +209,16 @@ def test_homothety_ratio_rejects_ratio_out_of_range(legs, k, h1):
     for check in (homothety_ratio, verify_homothety):
         with pytest.raises(ConicError, match=rf"ratio .* out of the float range .* altitude h1={h1}$"):
             check(place_triangle(*legs), k)
+
+
+# the envelopes' true ratios are about 1e617 and 5e404
+@pytest.mark.parametrize("legs, k", [
+    ((2.505949602059389e+295, 3.5e-323), 14.413404039972242),
+    ((2e-323, 8.015632967165127e+307), 1.7580264592430306e+226),
+], ids=["long-leg2", "long-leg3"])
+def test_enveloping_triangle_legs_at_both_float_range_ends(legs, k):
+    with pytest.raises(ConicError, match="envelope vertex or hypotenuse is out of the float range"):
+        enveloping_triangle(place_triangle(*legs), k)
 
 
 def test_enveloping_triangle_rejects_sides_parallel_to_rounding():
@@ -315,11 +326,12 @@ def test_centre_altitude_and_ratio_exact_at_extreme_magnitudes():
     """The exact-rational check above, with legs log-uniform in 1e-290..1e300,
     where the squares of the legs leave the float range.  Nothing but a ratio
     beyond the float range is refused, and the bounds are the ones above; h1 is
-    compared with l2 l3 / l1 for the stored l1."""
+    compared with l2 l3 / l1 for the stored l1.  k is log-uniform in 1e-300..1e300,
+    where k h1 and 2 l1 / (k h1) leave the float range."""
     rng = random.Random("exact homothety at extreme magnitudes")
     cases = [((1e150, 1e200), 8.0)]  # l2 * l3 overflows; the ratio is 2.5e49
     cases += [((10.0 ** rng.uniform(-290.0, 300.0), 10.0 ** rng.uniform(-290.0, 300.0)),
-               10.0 ** rng.uniform(-3.0, 8.0)) for _ in range(2000)]
+               10.0 ** rng.uniform(-300.0, 300.0)) for _ in range(2000)]
     centre_ulps, foot_ulps, h1_err, ratio_eps = [], [], [], []
     for (l2, l3), k in cases:
         tri = place_triangle(l2, l3)
