@@ -137,4 +137,6 @@ def polyline_length(arc: ConicArc, n: int) -> float:
 def g_factor(e: float, k: float) -> float:
     """Arc length per unit chord: c(l, l/k, e) = g_factor(e, k) * l."""
     e, k = _check_feasible(e, k)
-    return arc_length(construct_arc(1.0, 1.0 / k, e)).length
+    # l / k is a power of two, so l / (l / k) is k exactly (1 / (1 / k) need not be)
+    l = math.frexp(k)[0]
+    return arc_length(construct_arc(l, l / k, e)).length / l

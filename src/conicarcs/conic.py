@@ -82,8 +82,16 @@ def feasibility_min_k(e: float) -> float:
     return _min_k(_check_eccentricity(e))
 
 
+def _one_minus_e2(e: float) -> float:
+    """1 - e^2 without the cancellation of 1 - e*e near e = 1: with d = 1 - e (exact
+    there) it is 2d - d*d below e = 2, where d*d is small next to 2d, and d (1 + e)
+    above, where 2d is small next to d*d; either way it is rounded about once."""
+    d = 1.0 - e
+    return 2.0 * d - d * d if e < 2.0 else d * (1.0 + e)
+
+
 def _min_k(e: float) -> float:
-    return 2.0 * math.sqrt(abs(1.0 - e * e))
+    return 2.0 * math.sqrt(abs(_one_minus_e2(e)))
 
 
 def _check_feasible(e: float, k: float) -> tuple[float, float]:
@@ -153,7 +161,7 @@ def construct_arc(l: float, f: float, e: float) -> ConicArc:
     k = _feasible_k(e, l / f)
     # Each angle is taken, and each length rounded, per unit chord before it is
     # scaled by l, so arcs of equal (e, k) agree bit for bit whatever their chord.
-    q = 1.0 - e * e
+    q = _one_minus_e2(e)
     p = l * (k / 8.0 + q / (2.0 * k))
     s_u = k / (8.0 * (1.0 + e)) - (1.0 + e) / (2.0 * k)
     s = l * s_u

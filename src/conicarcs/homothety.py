@@ -95,7 +95,7 @@ class PlanarTriangle:
     """Embedded right triangle: right angle at P1, hypotenuse P2P3 of length l1.
 
     The side lengths are derived from the vertices, which must be distinct and
-    right-angled at P1.
+    right-angled at P1, with a hypotenuse that floats can hold.
     """
 
     p1: Point
@@ -113,7 +113,11 @@ class PlanarTriangle:
             raise ConicError("triangle vertices must be distinct")
         if abs(_div(_dot(p2 - p1, p3 - p1), _mul(l2, l3))) > 1e-12:
             raise ConicError("triangle is not right-angled at P1")
-        object.__setattr__(self, "l1", _dist(p2, p3))
+        l1 = _dist(p2, p3)
+        if not math.isfinite(l1):
+            raise ConicError(f"triangle hypotenuse is out of the float range for legs "
+                             f"{fmt(l2)}, {fmt(l3)}")
+        object.__setattr__(self, "l1", l1)
         object.__setattr__(self, "l2", l2)
         object.__setattr__(self, "l3", l3)
 
@@ -158,14 +162,11 @@ def _check_k(k: float) -> float:
     return k
 
 
-def _offset_side(a: Point, b: Point, length: float, k: float,
-                 orient: float) -> tuple[Point, Point]:
-    """Line of side a->b (of that length) pushed outward by length / k: (point, direction)."""
+def _offset_side(a: Point, b: Point, k: float, orient: float) -> tuple[Point, Point]:
+    """Line of side a->b pushed outward by its length / k: (point, direction).
+    The push is d = b - a turned a quarter and divided by k; no length is needed."""
     d = b - a
-    m = math.frexp(length)[1]  # so that 1 / length cannot overflow for a subnormal side
-    scale = orient / math.ldexp(length, -m)
-    n = Point(math.ldexp(d.y, -m) * scale, -math.ldexp(d.x, -m) * scale)
-    return a + n.scaled(length / k), d
+    return a + Point(d.y / k, -d.x / k).scaled(orient), d
 
 
 def enveloping_triangle(tri: PlanarTriangle, k: float) -> PlanarTriangle:
@@ -179,22 +180,19 @@ def enveloping_triangle(tri: PlanarTriangle, k: float) -> PlanarTriangle:
     k = _check_k(k)
     orient = _orientation(tri)
     try:
-        side1, side2, side3 = (_offset_side(a, b, l, k, orient) for a, b, l in _sides(tri))
+        side1, side2, side3 = (_offset_side(a, b, k, orient) for a, b, _ in _sides(tri))
         q1 = _intersect_lines(*side3, *side2)
         # Step from Q1 along each leg direction, so Q1Q2 and Q1Q3 stay perpendicular
         # to rounding even when one leg is far shorter than the hypotenuse.
         q2 = _intersect_lines(q1, side2[1], *side1)
         q3 = _intersect_lines(q1, side3[1], *side1)
+        return PlanarTriangle(q1, q2, q3)
     except ZeroDivisionError:
         raise ConicError("envelope vertex undefined: "
                          "its two sides are parallel to rounding") from None
-    except (OverflowError, ConicError):  # t beyond the float range, or a non-finite point
-        pass
-    else:
-        env = PlanarTriangle(q1, q2, q3)
-        if env.l1 < math.inf:
-            return env
-    raise ConicError(f"envelope vertex or hypotenuse is out of the float range for k={fmt(k)}")
+    except (OverflowError, ConicError):  # t, a point or the hypotenuse beyond the float range
+        raise ConicError(f"envelope vertex or hypotenuse is out of the float range "
+                         f"for k={fmt(k)}") from None
 
 
 def homothety_ratio(tri: PlanarTriangle, k: float) -> float:
@@ -208,7 +206,7 @@ def homothety_ratio(tri: PlanarTriangle, k: float) -> float:
 def _ratio(tri: PlanarTriangle, k: float, h1: float) -> float:
     try:
         return 1.0 + _div(_mul(2.0, tri.l1), _mul(k, h1))
-    except (OverflowError, ZeroDivisionError):  # h1 is 0 only for a hypotenuse of inf
+    except OverflowError:
         raise ConicError(f"homothety ratio 1 + 2 l1/(k h1) is out of the float range for "
                          f"k={fmt(k)}, l1={fmt(tri.l1)}, altitude h1={fmt(h1)}") from None
 

@@ -67,6 +67,9 @@ EDGE_LINES = [
     "scene --leg2 2.505949602059389e+295 --leg3 3.5e-323 --e 1 --k 14.413404039972242",
     "scene --leg2 2e-323 --leg3 8.015632967165127e+307 --e 1 --k 1.7580264592430306e+226",
     "arclen --l 0.003999997999934722 --f 1 --e 0.999998",
+    "centre --leg2 1e308 --leg3 1.5e308",
+    "verify --leg2 1e308 --leg3 1.5e308 --e 1 --k 8",
+    "scene --leg2 1e308 --leg3 1.5e308 --e 1 --k 8",
 ]
 
 

@@ -170,10 +170,22 @@ def test_g_factor_values():
     assert g_factor(0.0, 2.0 + 1e-12) == approx(math.pi / 2.0, abs=1e-9)
     assert g_factor(1.0, 8.0) == approx(1.0402288194345509, rel=1e-12)
     assert g_factor(0.0, 8.0) == approx(1.0411593182891727, rel=1e-12)
+    assert g_factor(0.5, 1e300) == approx(1.0, rel=1e-15)  # an arc on a chord of k overflows
     with pytest.raises(InfeasibleSagitta):
         g_factor(0.0, 2.0)
     with pytest.raises(InfeasibleSagitta):
         g_factor(1.0, 0.0)
+
+
+def test_g_factor_accepts_every_k_above_the_limit():
+    # 1 / (1 / k) can round onto the limit, which refused some of these as infeasible
+    rng = random.Random("g_factor at the limit")
+    for _ in range(500):
+        e = rng.uniform(0.0, 3.0)
+        try:
+            g_factor(e, math.nextafter(feasibility_min_k(e), math.inf))
+        except QuadratureNonConvergence:  # next to the asymptote, as documented
+            pass
 
 
 def test_g_factor_continuous_across_parabola():

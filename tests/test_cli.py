@@ -46,6 +46,15 @@ def test_construct_infeasible_exit_3_names_bound(capsys):
     assert "f < l/2" in err
 
 
+def test_arclen_just_below_the_exact_limit_exit_3(capsys):
+    # k is below 2 sqrt(1 - e^2) = 0.003999997999945989..., but above the limit
+    # that 1 - e*e in floats gives
+    code, out, err = run(capsys, "arclen", "--l", "0.003999997999934722", "--f", "1",
+                         "--e", "0.999998")
+    assert (code, out) == (3, "")
+    assert "must exceed 0.0039999979999459888" in err
+
+
 def test_arclen_output(capsys):
     code, out, _ = run(capsys, "arclen", "--l", "1", "--f", "0.125", "--e", "1")
     assert code == 0
@@ -163,7 +172,7 @@ def test_centre_invalid_k_prints_nothing(capsys):
     (("--leg2", "1000", "--leg3", "0.01", "--k-list", "1e5"),
      "centre_x=4.9999925977317616e-08\n"
      "centre_y=0.0049999999995000008\n"
-     "k=100000 ratio=3.0000000002 max_deviation=4.5474735088977284e-13\n"),
+     "k=100000 ratio=3.0000000002 max_deviation=1.4803536481187792e-13\n"),
 ], ids=["default-k-list", "skinny"])
 def test_centre_digits_pinned(capsys, argv, stdout):
     assert run(capsys, "centre", *argv) == (0, stdout, "")
@@ -247,6 +256,16 @@ def test_arclen_integrand_pole_at_a_node_exit_1(capsys):
                          "--f", "0.4497990671475703", "--e", "1.3525812688823207")
     assert (code, out) == (1, "")
     assert err.startswith("conicarcs: error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("centre",), ("verify", "--e", "1", "--k", "8"), ("scene", "--e", "1", "--k", "8"),
+], ids=["centre", "verify", "scene"])
+def test_hypotenuse_beyond_float_range_exit_1(capsys, argv):
+    code, out, err = run(capsys, *argv, "--leg2", "1e308", "--leg3", "1.5e308")
+    assert (code, out) == (1, "")
+    assert err.startswith("conicarcs: error: triangle hypotenuse is out of the float range")
+    assert "Traceback" not in err
 
 
 # legs at opposite ends of the float range: a product of their coordinates once
