@@ -111,12 +111,12 @@ class PlanarTriangle:
         l3 = _dist(p1, p3)
         if l2 <= 0.0 or l3 <= 0.0:
             raise ConicError("triangle vertices must be distinct")
-        if abs(_div(_dot(p2 - p1, p3 - p1), _mul(l2, l3))) > 1e-12:
-            raise ConicError("triangle is not right-angled at P1")
         l1 = _dist(p2, p3)
         if not math.isfinite(l1):
             raise ConicError(f"triangle hypotenuse is out of the float range for legs "
                              f"{fmt(l2)}, {fmt(l3)}")
+        if abs(_div(_dot(p2 - p1, p3 - p1), _mul(l2, l3))) > 1e-12:
+            raise ConicError("triangle is not right-angled at P1")
         object.__setattr__(self, "l1", l1)
         object.__setattr__(self, "l2", l2)
         object.__setattr__(self, "l3", l3)
@@ -133,9 +133,14 @@ def place_triangle(l2: float, l3: float) -> PlanarTriangle:
 
 
 def altitude_from_right_angle(tri: PlanarTriangle) -> tuple[Point, float]:
-    """Foot of the altitude from P1 onto the hypotenuse, and its length l2*l3/l1."""
-    d = tri.p3 - tri.p2
-    foot = tri.p2 + d.scaled(_div(_dot(tri.p1 - tri.p2, d), _dot(d, d)))
+    """Foot of the altitude from P1 onto the hypotenuse, and its length l2*l3/l1.
+
+    The foot is measured from the end of the hypotenuse nearer to it, the end of
+    the shorter leg, so the coordinate next to the other end does not cancel.
+    """
+    a, b = (tri.p2, tri.p3) if tri.l2 <= tri.l3 else (tri.p3, tri.p2)
+    d = b - a
+    foot = a + d.scaled(_div(_dot(tri.p1 - a, d), _dot(d, d)))
     return foot, _div(_mul(tri.l2, tri.l3), (tri.l1, 0))
 
 

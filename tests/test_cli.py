@@ -170,9 +170,9 @@ def test_centre_invalid_k_prints_nothing(capsys):
      "k=8 ratio=1.5208333333333335 max_deviation=9.1551335970444749e-16\n"
      "k=16 ratio=1.2604166666666667 max_deviation=0\n"),
     (("--leg2", "1000", "--leg3", "0.01", "--k-list", "1e5"),
-     "centre_x=4.9999925977317616e-08\n"
-     "centre_y=0.0049999999995000008\n"
-     "k=100000 ratio=3.0000000002 max_deviation=1.4803536481187792e-13\n"),
+     "centre_x=4.9999999995000002e-08\n"
+     "centre_y=0.0049999999994999999\n"
+     "k=100000 ratio=3.0000000002 max_deviation=4.5474735088646412e-13\n"),
 ], ids=["default-k-list", "skinny"])
 def test_centre_digits_pinned(capsys, argv, stdout):
     assert run(capsys, "centre", *argv) == (0, stdout, "")
@@ -183,7 +183,7 @@ def test_centre_digits_pinned(capsys, argv, stdout):
 def test_centre_digits_where_squares_underflow(capsys):
     code, out, err = run(capsys, "centre", "--leg2", "1e-160", "--leg3", "3e-161", "--k-list", "8")
     assert (code, err) == (0, "")
-    assert out.startswith("centre_x=4.1284403669724789e-162\n"
+    assert out.startswith("centre_x=4.1284403669724764e-162\n"
                           "centre_y=1.3761467889908256e-161\n"
                           "k=8 ratio=1.9083333333333334 max_deviation=")
 

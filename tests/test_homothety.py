@@ -80,6 +80,9 @@ def test_triangle_with_hypotenuse_beyond_float_range_is_refused():
     with pytest.raises(ConicError, match="hypotenuse is out of the float range"):
         PlanarTriangle(Point(0.0, 0.0), Point(1e308 * c, 1e308 * s),
                        Point(-1.5e308 * s, 1.5e308 * c))
+    # the leg vector P2 - P1 overflows before any Point could hold it
+    with pytest.raises(ConicError, match="hypotenuse is out of the float range for legs inf"):
+        PlanarTriangle(Point(1e308, 0.0), Point(-1e308, 0.0), Point(1e308, 1e-300))
     assert place_triangle(1e308, 1.3e308).l1 == approx(math.hypot(1e308, 1.3e308))
 
 
@@ -389,3 +392,23 @@ def test_centre_altitude_and_ratio_exact_at_extreme_magnitudes():
     assert max(foot_ulps) <= 1.6
     assert max(h1_err) <= 2.2e-16
     assert max(ratio_eps) <= 2.2
+
+
+@pytest.mark.parametrize("decades", [6.0, 75.0])
+def test_altitude_foot_coordinates_to_a_few_eps(decades):
+    """Each coordinate of the foot, (l2 l3^2, l2^2 l3) / s, is within 2.5 eps of its
+    exact value wherever that is a normal float, also next to the vertex of the longer
+    leg, where measuring from the far end of the hypotenuse cancels every digit.
+    Legs are log-uniform in 10^-decades..10^decades; the largest errors seen on
+    20,000 triangles per range were about 1.8 and 1.6 eps."""
+    rng = random.Random(f"altitude foot to a few eps, {decades}")
+    worst = 0.0
+    for _ in range(2000):
+        l2, l3 = (10.0 ** rng.uniform(-decades, decades) for _ in range(2))
+        foot, _ = altitude_from_right_angle(place_triangle(l2, l3))
+        L2, L3 = Fraction(l2), Fraction(l3)
+        s = L2 * L2 + L3 * L3
+        for got, want in zip((foot.x, foot.y), (L2 * L3 * L3 / s, L2 * L2 * L3 / s)):
+            if want >= sys.float_info.min:
+                worst = max(worst, float(abs(Fraction(got) - want) / want))
+    assert worst <= 2.5 * sys.float_info.epsilon
