@@ -11,7 +11,6 @@ that claim numerically instead of assuming it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .errors import ConicError
@@ -30,14 +29,24 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Point:
+class _XY(NamedTuple):
     x: float
     y: float
 
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.x) and math.isfinite(self.y)):
-            raise ConicError(f"point components must be finite, got ({self.x}, {self.y})")
+
+class Point(_XY):
+    """A point with finite coordinates, as the named tuple ``(x, y)``."""
+
+    __slots__ = ()
+
+    def __new__(cls, x: float, y: float) -> Point:
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise ConicError(f"point components must be finite, got ({x}, {y})")
+        return tuple.__new__(cls, (x, y))
+
+    @classmethod
+    def _make(cls, iterable) -> Point:  # also behind _replace: no unchecked point
+        return cls(*iterable)
 
     def __add__(self, other: "Point") -> "Point":
         return Point(self.x + other.x, self.y + other.y)
@@ -65,11 +74,22 @@ def _add(p: tuple[float, int], q: tuple[float, int]) -> tuple[float, int]:
     return math.ldexp(a, ea - e) + math.ldexp(b, eb - e), e
 
 
+def _quot(p: tuple[float, int], q: tuple[float, int]) -> tuple[float, int]:
+    """p / q as a pair; ``ZeroDivisionError`` if q is 0."""
+    (mp, ep), (mq, eq) = math.frexp(p[0]), math.frexp(q[0])
+    return mp / mq, p[1] + ep - q[1] - eq
+
+
 def _div(p: tuple[float, int], q: tuple[float, int]) -> float:
     """p / q; ``OverflowError`` only if the quotient is beyond the float range,
     ``ZeroDivisionError`` if q is 0."""
-    (mp, ep), (mq, eq) = math.frexp(p[0]), math.frexp(q[0])
-    return math.ldexp(mp / mq, p[1] + ep - q[1] - eq)
+    return math.ldexp(*_quot(p, q))
+
+
+def _scaled(u: Point, t: tuple[float, int]) -> Point:
+    """u times the pair t: a coordinate underflows only where its product does."""
+    (mx, ex), (my, ey) = _mul(t[0], u.x), _mul(t[0], u.y)
+    return Point(math.ldexp(mx, ex + t[1]), math.ldexp(my, ey + t[1]))
 
 
 def _dot(u: Point, v: Point) -> tuple[float, int]:
@@ -90,23 +110,29 @@ def _intersect_lines(p1: Point, d1: Point, p2: Point, d2: Point) -> Point:
     return p1 + d1.scaled(_div(_cross(p2 - p1, d2), _cross(d1, d2)))
 
 
-@dataclass(frozen=True)
-class PlanarTriangle:
-    """Embedded right triangle: right angle at P1, hypotenuse P2P3 of length l1.
+def _refuse_change(self, name: str, *value) -> None:
+    """``__setattr__`` and ``__delattr__`` of a named tuple whose ``__dict__``
+    holds values derived from its fields, so that it stays as built."""
+    raise AttributeError(f"cannot change {name!r}: a {type(self).__name__} is immutable")
 
-    The side lengths are derived from the vertices, which must be distinct and
-    right-angled at P1, with a hypotenuse that floats can hold.
-    """
 
+class _Vertices(NamedTuple):
     p1: Point
     p2: Point
     p3: Point
-    l1: float = field(init=False)
-    l2: float = field(init=False)
-    l3: float = field(init=False)
 
-    def __post_init__(self) -> None:
-        p1, p2, p3 = self.p1, self.p2, self.p3
+
+class PlanarTriangle(_Vertices):
+    """Embedded right triangle: right angle at P1, hypotenuse P2P3 of length l1.
+
+    The named tuple ``(p1, p2, p3)`` of its vertices, which must be distinct and
+    right-angled at P1, with a hypotenuse that floats can hold.  The side
+    lengths l1, l2, l3 are derived from the vertices and kept as attributes.
+    """
+
+    __setattr__ = __delattr__ = _refuse_change
+
+    def __new__(cls, p1: Point, p2: Point, p3: Point) -> PlanarTriangle:
         l2 = _dist(p1, p2)
         l3 = _dist(p1, p3)
         if l2 <= 0.0 or l3 <= 0.0:
@@ -117,9 +143,13 @@ class PlanarTriangle:
                              f"{fmt(l2)}, {fmt(l3)}")
         if abs(_div(_dot(p2 - p1, p3 - p1), _mul(l2, l3))) > 1e-12:
             raise ConicError("triangle is not right-angled at P1")
-        object.__setattr__(self, "l1", l1)
-        object.__setattr__(self, "l2", l2)
-        object.__setattr__(self, "l3", l3)
+        tri = tuple.__new__(cls, (p1, p2, p3))
+        vars(tri).update(l1=l1, l2=l2, l3=l3)
+        return tri
+
+    @classmethod
+    def _make(cls, iterable) -> PlanarTriangle:  # also behind _replace: no unchecked triangle
+        return cls(*iterable)
 
 
 def place_triangle(l2: float, l3: float) -> PlanarTriangle:
@@ -137,10 +167,12 @@ def altitude_from_right_angle(tri: PlanarTriangle) -> tuple[Point, float]:
 
     The foot is measured from the end of the hypotenuse nearer to it, the end of
     the shorter leg, so the coordinate next to the other end does not cancel.
+    Its parameter t = (P1 - a).d / d.d along the hypotenuse stays a pair, since
+    as a float it underflows when the legs are more than about 1e150 apart.
     """
     a, b = (tri.p2, tri.p3) if tri.l2 <= tri.l3 else (tri.p3, tri.p2)
     d = b - a
-    foot = a + d.scaled(_div(_dot(tri.p1 - a, d), _dot(d, d)))
+    foot = a + _scaled(d, _quot(_dot(tri.p1 - a, d), _dot(d, d)))
     return foot, _div(_mul(tri.l2, tri.l3), (tri.l1, 0))
 
 

@@ -8,15 +8,15 @@ identical input yields byte-identical output.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .conic import _check_feasible, construct_arc, sample_points
 from .homothety import (
     PlanarTriangle,
     Point,
     _orientation,
+    _refuse_change,
     _sides,
     altitude_from_right_angle,
     enveloping_triangle,
@@ -30,13 +30,18 @@ if TYPE_CHECKING:  # imported where used, so that `import conicarcs` loads no nu
 __all__ = ["Scene", "build_scene", "scene_to_json", "scene_to_svg"]
 
 
-@dataclass(frozen=True)
-class Scene:
+class _Layers(NamedTuple):
     triangle: np.ndarray
     arcs: tuple[np.ndarray, np.ndarray, np.ndarray]
     envelope: np.ndarray
     altitude: np.ndarray
     centre: np.ndarray
+
+
+class Scene(_Layers):
+    """The named tuple of a drawing's point arrays; ``==`` compares them by value."""
+
+    __setattr__ = __delattr__ = _refuse_change
 
     def layers(self) -> list[tuple[str, np.ndarray]]:
         """Layer name/points pairs in the fixed emission order."""
@@ -51,19 +56,23 @@ class Scene:
         ]
 
     def __eq__(self, other) -> bool:
-        """Equal when every layer holds the same shape and values."""
+        """Equal when every layer holds the same shape and values; never equal to
+        another tuple, whose own ``==`` would ask numpy for an array's truth value."""
         if not isinstance(other, Scene):
-            return NotImplemented
+            return False if isinstance(other, tuple) else NotImplemented
         import numpy as np
 
         return all(np.array_equal(a, b) for (_, a), (_, b) in zip(self.layers(), other.layers()))
+
+    def __ne__(self, other) -> bool:  # tuple's own != would compare the arrays
+        return not self == other
 
     @cached_property
     def rows(self) -> tuple[str, ...]:
         """Each layer's points as ``"x y\\n"`` rows at 17 digits, in ``layers()`` order.
 
         Formatted on first use and kept, so the SVG and JSON emitters share one
-        formatting pass.  Not a field: ``==`` and ``dataclasses.replace`` ignore it.
+        formatting pass.  Not a field: ``==`` and ``_replace`` ignore it.
         """
         return tuple(fmt_rows(pts) for _, pts in self.layers())
 

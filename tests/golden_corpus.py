@@ -71,6 +71,7 @@ EDGE_LINES = [
     "verify --leg2 1e308 --leg3 1.5e308 --e 1 --k 8",
     "scene --leg2 1e308 --leg3 1.5e308 --e 1 --k 8",
     "centre --leg2 1000 --leg3 0.01 --k-list 1e5",
+    "centre --leg2 1e100 --leg3 1e-100 --k-list 8",
 ]
 
 

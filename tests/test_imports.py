@@ -14,13 +14,14 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 # Imports the CLI, then runs each argument as a command line, in one fresh
 # interpreter; prints the exit code (or "-" after the import) and which of
-# numpy, scipy and scipy.integrate are loaded at that point.
+# numpy, scipy, scipy.integrate, dataclasses and inspect are loaded at that point.
 PROBE = """
 import contextlib, io, sys
 from conicarcs.cli import main
 
 def report(rc):
-    print(rc, ",".join(m for m in ("numpy", "scipy", "scipy.integrate") if m in sys.modules))
+    watched = ("numpy", "scipy", "scipy.integrate", "dataclasses", "inspect")
+    print(rc, ",".join(m for m in watched if m in sys.modules))
 
 report("-")
 for line in sys.argv[1:]:
@@ -45,8 +46,11 @@ def test_cli_loads_numpy_and_scipy_only_when_needed():
     out = subprocess.run([sys.executable, "-c", PROBE, *(line for line, _, _ in STEPS)],
                          env=dict(os.environ, PYTHONPATH=path), capture_output=True,
                          text=True, check=True).stdout
-    expected = ["- "] + [f"{rc} {loaded}" for _, rc, loaded in STEPS]
-    assert out.splitlines() == expected
+    got = [line.split(" ") for line in out.splitlines()]
+    # conicarcs loads neither dataclasses nor inspect; numpy may import inspect itself
+    assert all("inspect" not in loaded or "numpy" in loaded for _, loaded in got)
+    expected = [["-", ""]] + [[str(rc), loaded] for _, rc, loaded in STEPS]
+    assert [[rc, loaded.replace(",inspect", "")] for rc, loaded in got] == expected
 
 
 # Checks that are not part of the workflow (closed forms, the polyline and the

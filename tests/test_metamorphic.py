@@ -8,7 +8,6 @@ Inputs come from seeded stdlib ``random``.  An int or a numpy scalar is
 converted to float once, where it is checked, so it must give the float result.
 """
 
-import dataclasses
 import enum
 import math
 import random
@@ -139,9 +138,6 @@ def as_float(arg):
 
 def non_floats(value, path: str = "result") -> list[str]:
     """Every number in ``value`` that is not a Python float (or a float64 array)."""
-    if dataclasses.is_dataclass(value):
-        return [bad for fld in dataclasses.fields(value)
-                for bad in non_floats(getattr(value, fld.name), f"{path}.{fld.name}")]
     if isinstance(value, (tuple, list)):
         return [bad for i, v in enumerate(value) for bad in non_floats(v, f"{path}[{i}]")]
     if isinstance(value, np.ndarray):

@@ -1,6 +1,5 @@
 """Scene assembly and its JSON/SVG serializations."""
 
-import dataclasses
 import hashlib
 import json
 import math
@@ -304,11 +303,11 @@ def test_cached_rows_are_not_a_field(tri):
     scene = build_scene(tri, 1.0, 8.0, 16)
     scene_to_json(scene)  # fills the cache
     assert "rows" in vars(scene)
-    assert "rows" not in [f.name for f in dataclasses.fields(Scene)]
-    copy = dataclasses.replace(scene)
+    assert "rows" not in Scene._fields and len(scene) == len(Scene._fields) == 5
+    copy = scene._replace()
     assert "rows" not in vars(copy)
     assert copy == scene and scene == copy
-    moved = dataclasses.replace(scene, centre=np.array([9.0, -9.0]))
+    moved = scene._replace(centre=np.array([9.0, -9.0]))
     assert '"centre": [[9, -9]]' in scene_to_json(moved)
     assert f'"centre": [[{fmt(scene.centre[0])}, {fmt(scene.centre[1])}]]' in scene_to_json(scene)
 
@@ -316,11 +315,24 @@ def test_cached_rows_are_not_a_field(tri):
 def test_scenes_compare_layers_by_value(tri):
     scene, again = build_scene(tri, 1.0, 8.0, 16), build_scene(tri, 1.0, 8.0, 16)
     assert scene == again and not scene != again
-    assert scene != dataclasses.replace(scene, centre=np.array([9.0, -9.0]))
+    assert scene != scene._replace(centre=np.array([9.0, -9.0]))
     assert scene != build_scene(tri, 1.0, 8.0, 32)
     assert scene != scene.layers() and scene.__eq__(scene.layers()) is NotImplemented
+    plain = tuple(again)
+    assert scene != plain and plain != scene and not scene == plain and scene != (1, 2)
     with pytest.raises(TypeError):
         hash(scene)
+
+
+def test_scene_is_an_immutable_named_tuple(tri):
+    scene = build_scene(tri, 1.0, 8.0, 16)
+    triangle, arcs, envelope, altitude, centre = scene
+    assert centre is scene.centre and arcs is scene.arcs
+    scene_to_json(scene)  # fills the cache, which stays out of reach of setattr
+    for name in ("centre", "rows", "colour"):
+        with pytest.raises(AttributeError):
+            setattr(scene, name, None)
+    assert scene.rows[-1] == f"{fmt(centre[0])} {fmt(centre[1])}\n"
 
 
 def test_tiny_k_parabola_scene_warns_nothing(tri):
