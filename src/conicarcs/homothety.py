@@ -4,8 +4,13 @@ Offsetting each side of a right triangle outward by its sagitta f_i = l_i / k
 produces a parallel-sided (hence similar) enveloping triangle.  All envelopes
 obtained this way, for every k, are images of the original under a homothety
 about one fixed point: the midpoint of the altitude dropped from the right
-angle onto the hypotenuse.  This module constructs the envelope and verifies
-that claim numerically instead of assuming it.
+angle onto the hypotenuse.  This module constructs the envelope and checks
+that claim in exact arithmetic instead of assuming it.
+
+Every quantity here is rational in the float coordinates and k.  Each is
+computed in integers, from the exact values ``float.as_integer_ratio`` gives,
+and rounded once by an ``int / int`` quotient: correctly rounded, subnormals
+included, and an ``OverflowError`` only where the value is beyond the float range.
 """
 
 from __future__ import annotations
@@ -54,60 +59,23 @@ class Point(_XY):
     def __sub__(self, other: "Point") -> "Point":
         return Point(self.x - other.x, self.y - other.y)
 
-    def scaled(self, t: float) -> "Point":
-        return Point(t * self.x, t * self.y)
+
+def _exact(points) -> tuple[list[int], int]:
+    """The coordinates ``[x1, y1, x2, y2, ...]`` of ``points`` as integers over one
+    power of two d: each coordinate is exactly its integer / d."""
+    pairs = [c.as_integer_ratio() for p in points for c in p]
+    d = max(den for _, den in pairs)
+    return [n * (d // den) for n, den in pairs], d
 
 
-# Products, sums and quotients of coordinates and lengths carry a value as a pair
-# (v, e) meaning v * 2^e, so that no intermediate leaves the float range; where
-# every intermediate is normal, the result has the bits of the plain expression.
-def _mul(a: float, b: float) -> tuple[float, int]:
-    """a * b from the factors' ``frexp``: never out of range."""
-    (ma, ea), (mb, eb) = math.frexp(a), math.frexp(b)
-    return ma * mb, ea + eb
-
-
-def _add(p: tuple[float, int], q: tuple[float, int]) -> tuple[float, int]:
-    """p + q at the larger exponent of its nonzero terms."""
-    (a, ea), (b, eb) = p, q
-    e = max(ea if a else eb, eb if b else ea)
-    return math.ldexp(a, ea - e) + math.ldexp(b, eb - e), e
-
-
-def _quot(p: tuple[float, int], q: tuple[float, int]) -> tuple[float, int]:
-    """p / q as a pair; ``ZeroDivisionError`` if q is 0."""
-    (mp, ep), (mq, eq) = math.frexp(p[0]), math.frexp(q[0])
-    return mp / mq, p[1] + ep - q[1] - eq
-
-
-def _div(p: tuple[float, int], q: tuple[float, int]) -> float:
-    """p / q; ``OverflowError`` only if the quotient is beyond the float range,
-    ``ZeroDivisionError`` if q is 0."""
-    return math.ldexp(*_quot(p, q))
-
-
-def _scaled(u: Point, t: tuple[float, int]) -> Point:
-    """u times the pair t: a coordinate underflows only where its product does."""
-    (mx, ex), (my, ey) = _mul(t[0], u.x), _mul(t[0], u.y)
-    return Point(math.ldexp(mx, ex + t[1]), math.ldexp(my, ey + t[1]))
-
-
-def _dot(u: Point, v: Point) -> tuple[float, int]:
-    return _add(_mul(u.x, v.x), _mul(u.y, v.y))
-
-
-def _cross(u: Point, v: Point) -> tuple[float, int]:
-    return _add(_mul(u.x, v.y), _mul(-u.y, v.x))
+def _area2(v: list[int]) -> int:
+    """(P2 - P1) x (P3 - P1) of the integer vertices: twice the signed area, times d^2."""
+    x1, y1, x2, y2, x3, y3 = v
+    return (x2 - x1) * (y3 - y1) - (y2 - y1) * (x3 - x1)
 
 
 def _dist(a: Point, b: Point) -> float:
     return math.hypot(a.x - b.x, a.y - b.y)
-
-
-def _intersect_lines(p1: Point, d1: Point, p2: Point, d2: Point) -> Point:
-    """Where line p1 + t d1 meets line p2 + s d2; ZeroDivisionError if parallel to rounding,
-    OverflowError if t is beyond the float range."""
-    return p1 + d1.scaled(_div(_cross(p2 - p1, d2), _cross(d1, d2)))
 
 
 def _refuse_change(self, name: str, *value) -> None:
@@ -126,8 +94,9 @@ class PlanarTriangle(_Vertices):
     """Embedded right triangle: right angle at P1, hypotenuse P2P3 of length l1.
 
     The named tuple ``(p1, p2, p3)`` of its vertices, which must be distinct and
-    right-angled at P1, with a hypotenuse that floats can hold.  The side
-    lengths l1, l2, l3 are derived from the vertices and kept as attributes.
+    right-angled at P1 (|cos| <= 1e-12, decided exactly), with a hypotenuse that
+    floats can hold.  The side lengths l1, l2, l3 are derived from the vertices
+    and kept as attributes.
     """
 
     __setattr__ = __delattr__ = _refuse_change
@@ -141,7 +110,10 @@ class PlanarTriangle(_Vertices):
         if not math.isfinite(l1):
             raise ConicError(f"triangle hypotenuse is out of the float range for legs "
                              f"{fmt(l2)}, {fmt(l3)}")
-        if abs(_div(_dot(p2 - p1, p3 - p1), _mul(l2, l3))) > 1e-12:
+        (x1, y1, x2, y2, x3, y3), _ = _exact((p1, p2, p3))
+        ux, uy, vx, vy = x2 - x1, y2 - y1, x3 - x1, y3 - y1
+        dot = ux * vx + uy * vy
+        if dot * dot * 10**24 > (ux * ux + uy * uy) * (vx * vx + vy * vy):
             raise ConicError("triangle is not right-angled at P1")
         tri = tuple.__new__(cls, (p1, p2, p3))
         vars(tri).update(l1=l1, l2=l2, l3=l3)
@@ -162,29 +134,35 @@ def place_triangle(l2: float, l3: float) -> PlanarTriangle:
     return PlanarTriangle(Point(0.0, 0.0), Point(l2, 0.0), Point(0.0, l3))
 
 
-def altitude_from_right_angle(tri: PlanarTriangle) -> tuple[Point, float]:
-    """Foot of the altitude from P1 onto the hypotenuse, and its length l2*l3/l1.
+def _foot(v: list[int]) -> tuple[int, int, int]:
+    """The altitude foot P2 + t (P3 - P2), t = (P1 - P2).(P3 - P2) / |P3 - P2|^2, of the
+    integer vertices: its numerators and their denominator |P3 - P2|^2, in units of 1/d."""
+    x1, y1, x2, y2, x3, y3 = v
+    dx, dy = x3 - x2, y3 - y2
+    m = dx * dx + dy * dy
+    n = (x1 - x2) * dx + (y1 - y2) * dy
+    return x2 * m + n * dx, y2 * m + n * dy, m
 
-    The foot is measured from the end of the hypotenuse nearer to it, the end of
-    the shorter leg, so the coordinate next to the other end does not cancel.
-    Its parameter t = (P1 - a).d / d.d along the hypotenuse stays a pair, since
-    as a float it underflows when the legs are more than about 1e150 apart.
-    """
-    a, b = (tri.p2, tri.p3) if tri.l2 <= tri.l3 else (tri.p3, tri.p2)
-    d = b - a
-    foot = a + _scaled(d, _quot(_dot(tri.p1 - a, d), _dot(d, d)))
-    return foot, _div(_mul(tri.l2, tri.l3), (tri.l1, 0))
+
+def altitude_from_right_angle(tri: PlanarTriangle) -> tuple[Point, float]:
+    """Foot of the altitude from P1 onto the hypotenuse, and its length |cross| / l1
+    for the stored l1; each coordinate and the length rounded once from its exact value."""
+    v, d = _exact(tri)
+    fx, fy, m = _foot(v)
+    l1n, l1d = tri.l1.as_integer_ratio()
+    return Point(fx / (d * m), fy / (d * m)), abs(_area2(v)) * l1d / (d * d * l1n)
 
 
 def pythagorean_centre(tri: PlanarTriangle) -> Point:
     """Midpoint of the altitude from the right angle; the homothety centre for every k."""
-    foot, _ = altitude_from_right_angle(tri)
-    return (tri.p1 + foot).scaled(0.5)
+    v, d = _exact(tri)
+    fx, fy, m = _foot(v)
+    return Point((v[0] * m + fx) / (2 * d * m), (v[1] * m + fy) / (2 * d * m))
 
 
 def _orientation(tri: PlanarTriangle) -> float:
     """+1.0 if P1, P2, P3 run counter-clockwise, -1.0 if clockwise."""
-    return math.copysign(1.0, _cross(tri.p2 - tri.p1, tri.p3 - tri.p1)[0])
+    return 1.0 if _area2(_exact(tri)[0]) > 0 else -1.0
 
 
 def _sides(tri: PlanarTriangle) -> tuple[tuple[Point, Point, float], ...]:
@@ -199,53 +177,59 @@ def _check_k(k: float) -> float:
     return k
 
 
-def _offset_side(a: Point, b: Point, k: float, orient: float) -> tuple[Point, Point]:
-    """Line of side a->b pushed outward by its length / k: (point, direction).
-    The push is d = b - a turned a quarter and divided by k; no length is needed."""
-    d = b - a
-    return a + Point(d.y / k, -d.x / k).scaled(orient), d
-
-
 def enveloping_triangle(tri: PlanarTriangle, k: float) -> PlanarTriangle:
     """Triangle whose sides are the originals pushed outward by f_i = l_i / k.
 
     Its sides pass through the sagitta tips of the arc family with ratio k and
     stay parallel to the original sides, so the result is similar to ``tri``.
-    Raises ``ConicError`` if a vertex or the hypotenuse is out of the float range,
-    or if two sides that meet at a vertex are parallel to rounding.
+    Each vertex is the exact meeting point of two offset sides, rounded once.
+    Raises ``ConicError`` if a vertex or the hypotenuse is out of the float range.
     """
     k = _check_k(k)
-    orient = _orientation(tri)
+    v, d = _exact(tri)
+    x1, y1, x2, y2, x3, y3 = v
+    kn, kd = k.as_integer_ratio()
+    push = kd if _area2(v) > 0 else -kd  # outward: to the right of a counter-clockwise side
+    # side a->b, pushed by b - a turned a quarter and divided by k, is the line
+    # -dy X + dx Y + (a x (dx, dy)) + |(dx, dy)|^2 / k = 0 (here times kn)
+    sides = []
+    for ax, ay, bx, by in ((x2, y2, x3, y3), (x1, y1, x2, y2), (x3, y3, x1, y1)):
+        dx, dy = bx - ax, by - ay
+        sides.append((-dy * kn, dx * kn, (ax * dy - ay * dx) * kn + (dx * dx + dy * dy) * push))
+    side1, side2, side3 = sides
     try:
-        side1, side2, side3 = (_offset_side(a, b, k, orient) for a, b, _ in _sides(tri))
-        q1 = _intersect_lines(*side3, *side2)
-        # Step from Q1 along each leg direction, so Q1Q2 and Q1Q3 stay perpendicular
-        # to rounding even when one leg is far shorter than the hypotenuse.
-        q2 = _intersect_lines(q1, side2[1], *side1)
-        q3 = _intersect_lines(q1, side3[1], *side1)
-        return PlanarTriangle(q1, q2, q3)
-    except ZeroDivisionError:
-        raise ConicError("envelope vertex undefined: "
-                         "its two sides are parallel to rounding") from None
-    except (OverflowError, ConicError):  # t, a point or the hypotenuse beyond the float range
+        vertices = []
+        for (a1, b1, c1), (a2, b2, c2) in ((side3, side2), (side2, side1), (side1, side3)):
+            w = (a1 * b2 - b1 * a2) * d  # two lines meet at their cross product
+            vertices.append(Point((b1 * c2 - c1 * b2) / w, (c1 * a2 - a1 * c2) / w))
+        return PlanarTriangle(*vertices)
+    except (OverflowError, ConicError):  # a vertex or the hypotenuse beyond the float range
         raise ConicError(f"envelope vertex or hypotenuse is out of the float range "
                          f"for k={fmt(k)}") from None
 
 
+def _scale(tri: PlanarTriangle, v: list[int], k: float) -> tuple[float, int, int]:
+    """The ratio 1 + 2 l1^2 / (k |cross|), with l1^2 = |P3 - P2|^2: rounded once, and as
+    its exact (numerator, denominator).  Raises ``ConicError`` beyond the float range."""
+    x1, y1, x2, y2, x3, y3 = v
+    kn, kd = k.as_integer_ratio()
+    den = abs(_area2(v)) * kn
+    num = den + 2 * kd * ((x3 - x2) ** 2 + (y3 - y2) ** 2)
+    try:
+        return num / den, num, den
+    except OverflowError:
+        h1 = altitude_from_right_angle(tri)[1]
+        raise ConicError(f"homothety ratio 1 + 2 l1/(k h1) is out of the float range for "
+                         f"k={fmt(k)}, l1={fmt(tri.l1)}, altitude h1={fmt(h1)}") from None
+
+
 def homothety_ratio(tri: PlanarTriangle, k: float) -> float:
-    """Scale factor mapping the triangle onto its k-envelope: 1 + 2 l1 / (k h1).
+    """Scale factor mapping the triangle onto its k-envelope: 1 + 2 l1 / (k h1),
+    rounded once from its exact value.
 
     Raises ``ConicError`` when the ratio is out of the float range.
     """
-    return _ratio(tri, _check_k(k), altitude_from_right_angle(tri)[1])
-
-
-def _ratio(tri: PlanarTriangle, k: float, h1: float) -> float:
-    try:
-        return 1.0 + _div(_mul(2.0, tri.l1), _mul(k, h1))
-    except OverflowError:
-        raise ConicError(f"homothety ratio 1 + 2 l1/(k h1) is out of the float range for "
-                         f"k={fmt(k)}, l1={fmt(tri.l1)}, altitude h1={fmt(h1)}") from None
+    return _scale(tri, _exact(tri)[0], _check_k(k))[0]
 
 
 class HomothetyReport(NamedTuple):
@@ -256,26 +240,30 @@ class HomothetyReport(NamedTuple):
 
 
 def verify_homothety(tri: PlanarTriangle, k: float) -> HomothetyReport:
-    """Check that the centre-and-ratio map reproduces the constructed envelope.
+    """Compare the constructed envelope with the exact homothety image of ``tri``.
 
-    ``max_deviation`` collects, in length units, the vertex mismatches of the
-    homothety image against the offset-line construction and the defect of the
-    centre sitting at the midpoint of the envelope's own altitude (distance
-    h1/2 + f1 to both the vertex Q1 and the enveloping hypotenuse).
-    A finite deviation is reported, never raised, so callers can print
-    diagnostics; a ratio, envelope or deviation that is not finite raises
-    ``ConicError``.
+    ``max_deviation`` is the largest distance, in length units, between a
+    printed (rounded) envelope vertex and the exact image K + ratio (P - K) of
+    its original vertex P about the exact centre K.  For an exactly right
+    triangle, such as ``place_triangle`` builds, the two agree exactly and the
+    deviation is output rounding alone, about half an ulp of the envelope's
+    coordinates; for a nearly right one it also holds the geometric defect.
+    Raises ``ConicError`` if the ratio or the envelope is out of the float range.
     """
     k = _check_k(k)
-    foot, h1 = altitude_from_right_angle(tri)
-    centre = (tri.p1 + foot).scaled(0.5)
-    ratio = _ratio(tri, k, h1)
+    v, d = _exact(tri)
+    fx, fy, m = _foot(v)
+    cx, cy = v[0] * m + fx, v[1] * m + fy  # K = (cx, cy) / (2 d m)
+    ratio, num, den = _scale(tri, v, k)
     env = enveloping_triangle(tri, k)
-    devs = [_dist(centre + (orig - centre).scaled(ratio), img)
-            for orig, img in ((tri.p1, env.p1), (tri.p2, env.p2), (tri.p3, env.p3))]
-    reach = h1 / 2.0 + tri.l1 / k
-    devs.append(abs(_dist(centre, env.p1) - reach))
-    devs.append(abs(abs(_div(_cross(env.p3 - env.p2, centre - env.p2), (env.l1, 0))) - reach))
-    if not all(map(math.isfinite, devs)):
-        raise ConicError(f"homothety max_deviation is not finite for k={fmt(k)}")
-    return HomothetyReport(centre, ratio, env, max(devs))
+    # the image K + ratio (P - K) of P is (K (den - num) + num P) / den: over 2 d m den
+    scale = 2 * d * m * den
+
+    def off(q: float, c: int, p: int) -> float:  # q minus the image coordinate, rounded once
+        qn, qd = q.as_integer_ratio()
+        return (qn * scale - (c * (den - num) + 2 * m * num * p) * qd) / (qd * scale)
+
+    max_deviation = max(math.hypot(off(q.x, cx, px), off(q.y, cy, py))
+                        for q, px, py in zip(env, v[0::2], v[1::2]))
+    centre = Point(cx / (2 * d * m), cy / (2 * d * m))
+    return HomothetyReport(centre, ratio, env, max_deviation)

@@ -161,18 +161,20 @@ def test_centre_invalid_k_prints_nothing(capsys):
     assert "error" in err
 
 
-# the exact stdout of centre: a refactor of the envelope must not move a digit
+# the exact stdout of centre: a refactor of the envelope must not move a digit;
+# centre and ratio are their exact values rounded once, and max_deviation is the
+# output rounding of the envelope's vertices
 @pytest.mark.parametrize("argv, stdout", [
     (("--leg2", "4", "--leg3", "3"),
      "centre_x=0.71999999999999997\n"
      "centre_y=0.95999999999999996\n"
-     "k=4 ratio=2.041666666666667 max_deviation=1.7901808365247238e-15\n"
-     "k=8 ratio=1.5208333333333335 max_deviation=9.1551335970444749e-16\n"
-     "k=16 ratio=1.2604166666666667 max_deviation=0\n"),
+     "k=4 ratio=2.0416666666666665 max_deviation=2.9605947323337506e-16\n"
+     "k=8 ratio=1.5208333333333333 max_deviation=2.9605947323337506e-16\n"
+     "k=16 ratio=1.2604166666666667 max_deviation=2.9605947323337506e-16\n"),
     (("--leg2", "1000", "--leg3", "0.01", "--k-list", "1e5"),
      "centre_x=4.9999999995000002e-08\n"
      "centre_y=0.0049999999994999999\n"
-     "k=100000 ratio=3.0000000002 max_deviation=4.5474735088646412e-13\n"),
+     "k=100000 ratio=3.0000000002 max_deviation=1.0641200134615491e-13\n"),
 ], ids=["default-k-list", "skinny"])
 def test_centre_digits_pinned(capsys, argv, stdout):
     assert run(capsys, "centre", *argv) == (0, stdout, "")
@@ -183,7 +185,7 @@ def test_centre_digits_pinned(capsys, argv, stdout):
 def test_centre_digits_where_squares_underflow(capsys):
     code, out, err = run(capsys, "centre", "--leg2", "1e-160", "--leg3", "3e-161", "--k-list", "8")
     assert (code, err) == (0, "")
-    assert out.startswith("centre_x=4.1284403669724764e-162\n"
+    assert out.startswith("centre_x=4.1284403669724769e-162\n"
                           "centre_y=1.3761467889908256e-161\n"
                           "k=8 ratio=1.9083333333333334 max_deviation=")
 
@@ -192,7 +194,7 @@ def test_scene_centre_where_squares_overflow(capsys):
     code, out, _ = run(capsys, "scene", "--leg2", "1e154", "--leg3", "1.1e154", "--e", "1",
                        "--k", "8", "--format", "json")
     assert code == 0
-    assert '  "centre": [[2.7375565610859731e+153, 2.4886877828054296e+153]]\n' in out
+    assert '  "centre": [[2.7375565610859731e+153, 2.4886877828054299e+153]]\n' in out
 
 
 ENVELOPE_OUT_OF_RANGE = "envelope vertex or hypotenuse is out of the float range"
@@ -222,7 +224,7 @@ def test_envelope_out_of_float_range_exit_1(capsys, argv, quantity):
 
 
 # where a product of coordinates leaves the float range but the envelope does not;
-# the ratio is within 4 eps of its exact value 1 + 2 (l2^2 + l3^2) / (k l2 l3)
+# the ratio is its exact value 1 + 2 (l2^2 + l3^2) / (k l2 l3), rounded once
 @pytest.mark.parametrize("legs, k_list", [
     (("1e-200", "1e-200"), "4,8,16"),
     (("1e150", "1e200"), "4,8,16"),
@@ -241,7 +243,7 @@ def test_centre_answers_wherever_the_envelope_fits(capsys, legs, k_list):
     assert len(reports) == len(k_list.split(","))
     for k, ratio, deviation in reports:
         exact = 1 + 2 * (l2 * l2 + l3 * l3) / (Fraction(float(k)) * l2 * l3)
-        assert abs(Fraction(float(ratio)) - exact) <= 4 * sys.float_info.epsilon * exact
+        assert float(ratio) == float(exact)
         assert float(deviation) <= 64 * sys.float_info.epsilon * float(ratio) * l1
 
 

@@ -32,6 +32,47 @@ def line_distance(p, a, b):
     return abs((b.x - a.x) * (p.y - a.y) - (b.y - a.y) * (p.x - a.x)) / dist(a, b)
 
 
+def exact_placed(l2, l3, k):
+    """Exact centre, ratio and k-envelope of ``place_triangle(l2, l3)``, as Fractions.
+
+    With s = l2^2 + l3^2 the centre is (l2 l3^2, l2^2 l3) / 2s, the altitude foot
+    twice that, the ratio 1 + 2s / (k l2 l3), and the envelope's vertices
+    Q1 = (-l3/k, -l2/k), Q2 = (l2 + l3/k + 2 l2^2/(k l3), -l2/k) and
+    Q3 = (-l3/k, l3 + l2/k + 2 l3^2/(k l2)).
+    """
+    L2, L3, K = Fraction(l2), Fraction(l3), Fraction(k)
+    s = L2 * L2 + L3 * L3
+    centre = (L2 * L3 * L3 / (2 * s), L2 * L2 * L3 / (2 * s))
+    envelope = [(-L3 / K, -L2 / K), (L2 + L3 / K + 2 * L2 * L2 / (K * L3), -L2 / K),
+                (-L3 / K, L3 + L2 / K + 2 * L3 * L3 / (K * L2))]
+    return centre, 1 + 2 * s / (K * L2 * L3), envelope
+
+
+def exact_offset_envelope(tri, k):
+    """The k-envelope of any triangle, in Fractions: each side a->b pushed outward by
+    b - a turned a quarter and divided by k, and neighbouring sides met exactly."""
+    (x1, y1), (x2, y2), (x3, y3) = pts = [tuple(map(Fraction, p)) for p in tri]
+    K = Fraction(k)
+    orient = 1 if (x2 - x1) * (y3 - y1) - (y2 - y1) * (x3 - x1) > 0 else -1
+    lines = []
+    for (ax, ay), (bx, by) in ((pts[1], pts[2]), (pts[0], pts[1]), (pts[2], pts[0])):
+        dx, dy = bx - ax, by - ay
+        lines.append(((ax + orient * dy / K, ay - orient * dx / K), (dx, dy)))
+
+    def meet(first, second):
+        ((px, py), (dx, dy)), ((qx, qy), (ex, ey)) = first, second
+        t = ((qx - px) * ey - (qy - py) * ex) / (dx * ey - dy * ex)
+        return px + t * dx, py + t * dy
+
+    side1, side2, side3 = lines
+    return [meet(side3, side2), meet(side2, side1), meet(side1, side3)]
+
+
+def rounded(points):
+    """Each exact (x, y) as the nearest floats; OverflowError beyond the float range."""
+    return tuple((float(x), float(y)) for x, y in points)
+
+
 def test_place_triangle():
     tri = place_triangle(4.0, 3.0)
     assert (tri.p2.x, tri.p2.y) == (4.0, 0.0)
@@ -207,23 +248,14 @@ def test_enveloping_triangle_vertex_beyond_right_angle():
 
 
 def test_envelope_vertices_against_exact_rationals():
-    """A placed triangle's k-envelope has the rational vertices
-    Q1 = (-l3/k, -l2/k), Q2 = (l2 + l3/k + 2 l2^2/(k l3), -l2/k) and
-    Q3 = (-l3/k, l3 + l2/k + 2 l3^2/(k l2)).  Bound: the largest distance seen
-    over the first 20,000 draws of this sequence, 3.10 eps * env.l1, plus a margin."""
+    """A placed triangle's k-envelope has rational vertices (see ``exact_placed``);
+    each coordinate is the correctly rounded exact value."""
     rng = random.Random(7)
-    worst = 0.0
     for _ in range(2000):
         l2, l3 = (10.0 ** rng.uniform(-3.0, 3.0) for _ in range(2))
         k = 10.0 ** rng.uniform(-1.0, 3.0)
         env = enveloping_triangle(place_triangle(l2, l3), k)
-        L2, L3, K = Fraction(l2), Fraction(l3), Fraction(k)
-        exact = [(-L3 / K, -L2 / K), (L2 + L3 / K + 2 * L2 * L2 / (K * L3), -L2 / K),
-                 (-L3 / K, L3 + L2 / K + 2 * L3 * L3 / (K * L2))]
-        unit = (sys.float_info.epsilon * Fraction(env.l1)) ** 2
-        for q, (x, y) in zip((env.p1, env.p2, env.p3), exact):
-            worst = max(worst, float(((Fraction(q.x) - x) ** 2 + (Fraction(q.y) - y) ** 2) / unit))
-    assert math.sqrt(worst) <= 4.0
+        assert env == rounded(exact_placed(l2, l3, k)[2]), (l2, l3, k)
 
 
 def test_enveloping_triangle_large_k_limit():
@@ -289,12 +321,29 @@ def test_enveloping_triangle_legs_at_both_float_range_ends(legs, k):
         enveloping_triangle(place_triangle(*legs), k)
 
 
-def test_enveloping_triangle_rejects_sides_parallel_to_rounding():
-    # P3 - P2 rounds to -P2, so the hypotenuse is parallel to the leg P1P2 in floats
+def test_envelope_exact_where_float_sides_are_parallel():
+    # P3 - P2 rounds to -P2, so the hypotenuse is parallel to the leg P1P2 in floats;
+    # in exact arithmetic the offset sides still meet, about 2.5e19 away
     c, s = math.cos(0.5), math.sin(0.5)
     tri = PlanarTriangle(Point(0.0, 0.0), Point(c, s), Point(-1e-20 * s, 1e-20 * c))
-    with pytest.raises(ConicError, match="envelope vertex undefined"):
-        enveloping_triangle(tri, 8.0)
+    env = enveloping_triangle(tri, 8.0)
+    assert env == rounded(exact_offset_envelope(tri, 8.0))
+    assert env.l2 == approx(verify_homothety(tri, 8.0).ratio * tri.l2, rel=1e-15)
+
+
+# |cos| of the angle at P1 is decided exactly against 1e-12: the first x of each
+# pair is the largest float with x^2 / (x^2 + b^2) <= 1e-24, the second the next one
+@pytest.mark.parametrize("a, b, below, above", [
+    (1.0, 3.0, 2.9999999999999997e-12, 3e-12),
+    (3.0, 0.3, 3e-13, 3.0000000000000003e-13),
+])
+def test_right_angle_decided_exactly_at_the_threshold(a, b, below, above):
+    for x, right in ((below, True), (above, False)):
+        X, B = Fraction(x), Fraction(b)
+        assert (X * X * 10**24 <= X * X + B * B) == right
+    PlanarTriangle(Point(0.0, 0.0), Point(a, 0.0), Point(below, b))
+    with pytest.raises(ConicError, match="not right-angled at P1"):
+        PlanarTriangle(Point(0.0, 0.0), Point(a, 0.0), Point(above, b))
 
 
 def test_altitude_exact_where_the_hypotenuse_square_underflows():
@@ -313,6 +362,27 @@ def test_verify_homothety_closes_the_loop():
     assert rep.max_deviation < 1e-10 * tri.l1
     assert rep.ratio > 1.0
     assert rep.ratio == homothety_ratio(tri, 8.0)
+
+
+@pytest.mark.parametrize("k", [0.5, 8.0])
+def test_max_deviation_of_a_nearly_right_triangle_holds_its_defect(k):
+    # |cos| at P1 is 1e-13: accepted as right, but its offset-line envelope is not
+    # quite the homothety image about the altitude's midpoint K with ratio
+    # 1 + 2 |P3 - P2|^2 / (k |(P2 - P1) x (P3 - P1)|); the report measures the gap
+    tri = PlanarTriangle(Point(0.0, 0.0), Point(1.0, 0.0), Point(1e-13, 1.0))
+    rep = verify_homothety(tri, k)
+    assert rep.enveloping == rounded(exact_offset_envelope(tri, k))
+    (x1, y1), (x2, y2), (x3, y3) = pts = [tuple(map(Fraction, p)) for p in tri]
+    dx, dy = x3 - x2, y3 - y2
+    t = ((x1 - x2) * dx + (y1 - y2) * dy) / (dx * dx + dy * dy)
+    cx, cy = (x1 + x2 + t * dx) / 2, (y1 + y2 + t * dy) / 2
+    cross = (x2 - x1) * (y3 - y1) - (y2 - y1) * (x3 - x1)
+    ratio = 1 + 2 * (dx * dx + dy * dy) / (Fraction(k) * cross)
+    assert rep[:2] == ((float(cx), float(cy)), float(ratio))
+    defect = max(math.hypot(float(qx - cx - ratio * (px - cx)), float(qy - cy - ratio * (py - cy)))
+                 for (qx, qy), (px, py) in zip(exact_offset_envelope(tri, k), pts))
+    ulp = math.ulp(rep.enveloping.l1)
+    assert defect > 20 * ulp and abs(rep.max_deviation - defect) <= 0.71 * ulp
 
 
 def test_verify_homothety_report_ratio_definition():
@@ -362,97 +432,83 @@ def test_sagitta_triangle_similar_to_original():
 
 def test_centre_foot_and_ratio_against_exact_rationals():
     """Only squares and products of the legs enter, so the exact centre, altitude
-    foot and ratio are rationals in the float legs: with s = l2^2 + l3^2 the centre
-    is (l2 l3^2, l2^2 l3) / 2s, the foot twice that, and the ratio
-    1 + 2s / (k l2 l3).  Bounds: the largest errors seen on 20,000 such
-    triangles (0.744 and 1.49 ulp(l1), 2.04 eps) plus a small margin."""
+    foot and ratio are rationals in the float legs (see ``exact_placed``).  Each
+    printed value is the correctly rounded exact one."""
     rng = random.Random("exact homothety")
-    centre_ulps, foot_ulps, ratio_eps = [], [], []
     for _ in range(2000):
         l2, l3 = (10.0 ** rng.uniform(-6.0, 6.0) for _ in range(2))
         k = 10.0 ** rng.uniform(-3.0, 8.0)
         tri = place_triangle(l2, l3)
-        L2, L3 = Fraction(l2), Fraction(l3)
-        s = L2 * L2 + L3 * L3
-        exact = (L2 * L3 * L3 / (2 * s), L2 * L2 * L3 / (2 * s))
-        ulp = math.ulp(tri.l1)
-        centre = pythagorean_centre(tri)
-        foot, _ = altitude_from_right_angle(tri)
-        for got, want in zip((centre.x, centre.y), exact):
-            centre_ulps.append(float(abs(Fraction(got) - want)) / ulp)
-        for got, want in zip((foot.x, foot.y), exact):
-            foot_ulps.append(float(abs(Fraction(got) - 2 * want)) / ulp)
-        ratio = 1 + 2 * s / (Fraction(k) * L2 * L3)
-        error = abs(Fraction(homothety_ratio(tri, k)) - ratio) / ratio
-        ratio_eps.append(float(error) / sys.float_info.epsilon)
-    assert max(centre_ulps) <= 0.8
-    assert max(foot_ulps) <= 1.6
-    assert max(ratio_eps) <= 2.2
+        (cx, cy), ratio, _ = exact_placed(l2, l3, k)
+        assert pythagorean_centre(tri) == (float(cx), float(cy)), (l2, l3)
+        assert altitude_from_right_angle(tri)[0] == (float(2 * cx), float(2 * cy)), (l2, l3)
+        assert homothety_ratio(tri, k) == float(ratio), (l2, l3, k)
 
 
 def test_centre_altitude_and_ratio_exact_at_extreme_magnitudes():
-    """The exact-rational check above, with legs log-uniform in 1e-290..1e300,
-    where the squares of the legs leave the float range.  Nothing but a ratio
-    beyond the float range is refused, and the bounds are the ones above; h1 is
-    compared with l2 l3 / l1 for the stored l1.  k is log-uniform in 1e-300..1e300,
-    where k h1 and 2 l1 / (k h1) leave the float range."""
+    """The exact-rational check above, with legs and k log-uniform in 1e-300..1e300,
+    where squares and products of the legs and k leave the float range.  Centre,
+    foot, ratio and envelope are each the correctly rounded exact value, or refused
+    where that value is beyond the float range; h1 is l2 l3 / l1 for the stored l1,
+    rounded once.  The report holds the same values, and its max_deviation is output
+    rounding alone: at most sqrt(2)/2 ulp of the envelope's hypotenuse."""
     rng = random.Random("exact homothety at extreme magnitudes")
     cases = [((1e150, 1e200), 8.0)]  # l2 * l3 overflows; the ratio is 2.5e49
-    cases += [((10.0 ** rng.uniform(-290.0, 300.0), 10.0 ** rng.uniform(-290.0, 300.0)),
+    cases += [((10.0 ** rng.uniform(-300.0, 300.0), 10.0 ** rng.uniform(-300.0, 300.0)),
                10.0 ** rng.uniform(-300.0, 300.0)) for _ in range(2000)]
-    centre_ulps, foot_ulps, h1_err, ratio_eps = [], [], [], []
+    reported = 0
     for (l2, l3), k in cases:
         tri = place_triangle(l2, l3)
-        L2, L3 = Fraction(l2), Fraction(l3)
-        s = L2 * L2 + L3 * L3
-        exact = (L2 * L3 * L3 / (2 * s), L2 * L2 * L3 / (2 * s))
-        ulp = math.ulp(tri.l1)
-        centre = pythagorean_centre(tri)
+        (cx, cy), ratio, envelope = exact_placed(l2, l3, k)
+        assert pythagorean_centre(tri) == (float(cx), float(cy)), (l2, l3)
         foot, h1 = altitude_from_right_angle(tri)
-        for got, want in zip((centre.x, centre.y), exact):
-            centre_ulps.append(float(abs(Fraction(got) - want)) / ulp)
-        for got, want in zip((foot.x, foot.y), exact):
-            foot_ulps.append(float(abs(Fraction(got) - 2 * want)) / ulp)
-        altitude = L2 * L3 / Fraction(tri.l1)
-        h1_err.append(float(abs(Fraction(h1) - altitude) / altitude))
-        ratio = 1 + 2 * s / (Fraction(k) * L2 * L3)
+        assert foot == (float(2 * cx), float(2 * cy)), (l2, l3)
+        assert h1 == float(Fraction(l2) * Fraction(l3) / Fraction(tri.l1)), (l2, l3)
         try:
-            error = abs(Fraction(homothety_ratio(tri, k)) - ratio) / ratio
-        except ConicError:
-            assert ratio > sys.float_info.max
+            want_ratio = float(ratio)
+        except OverflowError:
+            with pytest.raises(ConicError, match="ratio .* out of the float range"):
+                homothety_ratio(tri, k)
+            want_ratio = None
+        else:
+            assert homothety_ratio(tri, k) == want_ratio, (l2, l3, k)
+        try:
+            want_env = rounded(envelope)
+            (_, (x2, y2), (x3, y3)) = want_env
+            fits = math.isfinite(math.hypot(x3 - x2, y3 - y2))
+        except OverflowError:
+            fits = False
+        if not fits:
+            with pytest.raises(ConicError, match="envelope vertex or hypotenuse"):
+                enveloping_triangle(tri, k)
             continue
-        ratio_eps.append(float(error) / sys.float_info.epsilon)
-    assert max(centre_ulps) <= 0.8
-    assert max(foot_ulps) <= 1.6
-    assert max(h1_err) <= 2.2e-16
-    assert max(ratio_eps) <= 2.2
+        assert enveloping_triangle(tri, k) == want_env, (l2, l3, k)
+        if want_ratio is not None:
+            rep = verify_homothety(tri, k)
+            assert rep[:3] == (pythagorean_centre(tri), want_ratio, want_env)
+            assert rep.max_deviation <= 0.71 * math.ulp(rep.enveloping.l1), (l2, l3, k)
+            reported += 1
+    assert reported >= 800
 
 
 @pytest.mark.parametrize("decades", [6.0, 75.0])
 def test_altitude_foot_coordinates_to_a_few_eps(decades):
-    """Each coordinate of the foot, (l2 l3^2, l2^2 l3) / s, is within 2.5 eps of its
-    exact value wherever that is a normal float, also next to the vertex of the longer
-    leg, where measuring from the far end of the hypotenuse cancels every digit.
-    Legs are log-uniform in 10^-decades..10^decades; the largest errors seen on
-    20,000 triangles per range were about 1.8 and 1.6 eps."""
+    """Each coordinate of the foot, (l2 l3^2, l2^2 l3) / s, is its exact value rounded
+    once, also next to the vertex of the longer leg, where measuring from the far end
+    of the hypotenuse in floats cancels every digit.  Legs are log-uniform in
+    10^-decades..10^decades."""
     rng = random.Random(f"altitude foot to a few eps, {decades}")
-    worst = 0.0
     for _ in range(2000):
         l2, l3 = (10.0 ** rng.uniform(-decades, decades) for _ in range(2))
         foot, _ = altitude_from_right_angle(place_triangle(l2, l3))
-        L2, L3 = Fraction(l2), Fraction(l3)
-        s = L2 * L2 + L3 * L3
-        for got, want in zip((foot.x, foot.y), (L2 * L3 * L3 / s, L2 * L2 * L3 / s)):
-            if want >= sys.float_info.min:
-                worst = max(worst, float(abs(Fraction(got) - want) / want))
-    assert worst <= 2.5 * sys.float_info.epsilon
+        (cx, cy), _, _ = exact_placed(l2, l3, 1.0)
+        assert foot == (float(2 * cx), float(2 * cy)), (l2, l3)
 
 
 def test_altitude_foot_to_a_few_eps_for_legs_far_apart():
     """The check above for legs 1e150 to 1e300 apart, where t = l_short^2 / l1^2
     underflows as a float: the foot coordinate next to the far vertex,
-    about l_short^2 / l_long, is still a normal float and keeps its digits.
-    The largest error seen on 20,000 such triangles was about 1.55 eps."""
+    about l_short^2 / l_long, is still its exact value rounded once."""
     rng = random.Random("altitude foot, legs far apart")
     cases = [(1e100, 1e-100), (1e-100, 1e100)]
     for _ in range(1000):
@@ -460,13 +516,9 @@ def test_altitude_foot_to_a_few_eps_for_legs_far_apart():
         long_leg = 10.0 ** rng.uniform(2.0 * math.log10(ratio) - 305.0, 306.0)
         legs = (long_leg, long_leg / ratio)
         cases.append(legs if rng.random() < 0.5 else legs[::-1])
-    worst = 0.0
     for l2, l3 in cases:
         foot, _ = altitude_from_right_angle(place_triangle(l2, l3))
-        L2, L3 = Fraction(l2), Fraction(l3)
-        s = L2 * L2 + L3 * L3
-        for got, want in zip((foot.x, foot.y), (L2 * L3 * L3 / s, L2 * L2 * L3 / s)):
-            assert want >= sys.float_info.min
-            worst = max(worst, float(abs(Fraction(got) - want) / want))
-    assert worst <= 2.5 * sys.float_info.epsilon
+        (cx, cy), _, _ = exact_placed(l2, l3, 1.0)
+        assert min(cx, cy) >= sys.float_info.min / 2
+        assert foot == (float(2 * cx), float(2 * cy)), (l2, l3)
     assert pythagorean_centre(place_triangle(1e100, 1e-100)) == (5e-301, 5e-101)

@@ -14,13 +14,15 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 # Imports the CLI, then runs each argument as a command line, in one fresh
 # interpreter; prints the exit code (or "-" after the import) and which of
-# numpy, scipy, scipy.integrate, dataclasses and inspect are loaded at that point.
+# numpy, scipy, scipy.integrate, dataclasses, inspect, fractions and decimal are
+# loaded at that point.
 PROBE = """
 import contextlib, io, sys
 from conicarcs.cli import main
 
 def report(rc):
-    watched = ("numpy", "scipy", "scipy.integrate", "dataclasses", "inspect")
+    watched = ("numpy", "scipy", "scipy.integrate", "dataclasses", "inspect", "fractions",
+               "decimal")
     print(rc, ",".join(m for m in watched if m in sys.modules))
 
 report("-")
@@ -49,6 +51,8 @@ def test_cli_loads_numpy_and_scipy_only_when_needed():
     got = [line.split(" ") for line in out.splitlines()]
     # conicarcs loads neither dataclasses nor inspect; numpy may import inspect itself
     assert all("inspect" not in loaded or "numpy" in loaded for _, loaded in got)
+    # the homothety computes in plain int: no command loads fractions or decimal
+    assert not any(m in loaded.split(",") for _, loaded in got for m in ("fractions", "decimal"))
     expected = [["-", ""]] + [[str(rc), loaded] for _, rc, loaded in STEPS]
     assert [[rc, loaded.replace(",inspect", "")] for rc, loaded in got] == expected
 
