@@ -1,11 +1,13 @@
 """Enveloping triangles and the common homothety centre.
 
-Offsetting each side of a right triangle outward by its sagitta f_i = l_i / k
+Offsetting each side of a triangle outward by its sagitta f_i = l_i / k
 produces a parallel-sided (hence similar) enveloping triangle.  All envelopes
 obtained this way, for every k, are images of the original under a homothety
-about one fixed point: the midpoint of the altitude dropped from the right
-angle onto the hypotenuse.  This module constructs the envelope and checks
-that claim in exact arithmetic instead of assuming it.
+about one fixed point, the symmedian point K = (l1^2 P1 + l3^2 P2 + l2^2 P3) /
+(l1^2 + l2^2 + l3^2), with ratio 1 + (l1^2 + l2^2 + l3^2) / (2 k area).  For the
+paper's right triangle K is the midpoint of the altitude from the right angle.
+This module constructs the envelope and checks that claim in exact arithmetic
+instead of assuming it.
 
 Every quantity here is rational in the float coordinates and k.  Each is
 computed in integers, from the exact values ``float.as_integer_ratio`` gives,
@@ -91,30 +93,23 @@ class _Vertices(NamedTuple):
 
 
 class PlanarTriangle(_Vertices):
-    """Embedded right triangle: right angle at P1, hypotenuse P2P3 of length l1.
+    """Embedded triangle: side P2P3 of length l1 (the paper's hypotenuse, opposite
+    the right angle at P1), P1P2 of length l2 and P3P1 of length l3.
 
-    The named tuple ``(p1, p2, p3)`` of its vertices, which must be distinct and
-    right-angled at P1 (|cos| <= 1e-12, decided exactly), with a hypotenuse that
-    floats can hold.  The side lengths l1, l2, l3 are derived from the vertices
-    and kept as attributes.
+    The named tuple ``(p1, p2, p3)`` of its vertices, which must not be collinear
+    (decided exactly), with three sides that floats can hold.  The side lengths
+    l1, l2, l3 are derived from the vertices and kept as attributes.
     """
 
     __setattr__ = __delattr__ = _refuse_change
 
     def __new__(cls, p1: Point, p2: Point, p3: Point) -> PlanarTriangle:
-        l2 = _dist(p1, p2)
-        l3 = _dist(p1, p3)
-        if l2 <= 0.0 or l3 <= 0.0:
-            raise ConicError("triangle vertices must be distinct")
-        l1 = _dist(p2, p3)
-        if not math.isfinite(l1):
-            raise ConicError(f"triangle hypotenuse is out of the float range for legs "
-                             f"{fmt(l2)}, {fmt(l3)}")
-        (x1, y1, x2, y2, x3, y3), _ = _exact((p1, p2, p3))
-        ux, uy, vx, vy = x2 - x1, y2 - y1, x3 - x1, y3 - y1
-        dot = ux * vx + uy * vy
-        if dot * dot * 10**24 > (ux * ux + uy * uy) * (vx * vx + vy * vy):
-            raise ConicError("triangle is not right-angled at P1")
+        if _area2(_exact((p1, p2, p3))[0]) == 0:
+            raise ConicError("triangle vertices must not be collinear")
+        l1, l2, l3 = _dist(p2, p3), _dist(p1, p2), _dist(p1, p3)
+        if math.inf in (l1, l2, l3):
+            raise ConicError(f"triangle side is out of the float range: "
+                             f"l1={fmt(l1)}, l2={fmt(l2)}, l3={fmt(l3)}")
         tri = tuple.__new__(cls, (p1, p2, p3))
         vars(tri).update(l1=l1, l2=l2, l3=l3)
         return tri
@@ -134,30 +129,36 @@ def place_triangle(l2: float, l3: float) -> PlanarTriangle:
     return PlanarTriangle(Point(0.0, 0.0), Point(l2, 0.0), Point(0.0, l3))
 
 
-def _foot(v: list[int]) -> tuple[int, int, int]:
-    """The altitude foot P2 + t (P3 - P2), t = (P1 - P2).(P3 - P2) / |P3 - P2|^2, of the
-    integer vertices: its numerators and their denominator |P3 - P2|^2, in units of 1/d."""
+def altitude_from_right_angle(tri: PlanarTriangle) -> tuple[Point, float]:
+    """Foot P2 + t (P3 - P2), t = (P1 - P2).(P3 - P2) / l1^2, of the altitude from P1 onto
+    side P2P3, and its length |cross| / l1 for the stored l1; each coordinate and the
+    length rounded once from its exact value."""
+    v, d = _exact(tri)
     x1, y1, x2, y2, x3, y3 = v
     dx, dy = x3 - x2, y3 - y2
     m = dx * dx + dy * dy
     n = (x1 - x2) * dx + (y1 - y2) * dy
-    return x2 * m + n * dx, y2 * m + n * dy, m
-
-
-def altitude_from_right_angle(tri: PlanarTriangle) -> tuple[Point, float]:
-    """Foot of the altitude from P1 onto the hypotenuse, and its length |cross| / l1
-    for the stored l1; each coordinate and the length rounded once from its exact value."""
-    v, d = _exact(tri)
-    fx, fy, m = _foot(v)
     l1n, l1d = tri.l1.as_integer_ratio()
-    return Point(fx / (d * m), fy / (d * m)), abs(_area2(v)) * l1d / (d * d * l1n)
+    foot = Point((x2 * m + n * dx) / (d * m), (y2 * m + n * dy) / (d * m))
+    return foot, abs(_area2(v)) * l1d / (d * d * l1n)
+
+
+def _symmedian(v: list[int]) -> tuple[int, int, int]:
+    """K = (l1^2 P1 + l3^2 P2 + l2^2 P3) / s, s = l1^2 + l2^2 + l3^2, of the integer
+    vertices: its numerators and s, each square in units of 1/d^2 (so K is over d s)."""
+    x1, y1, x2, y2, x3, y3 = v
+    s1 = (x3 - x2) ** 2 + (y3 - y2) ** 2
+    s2 = (x2 - x1) ** 2 + (y2 - y1) ** 2
+    s3 = (x1 - x3) ** 2 + (y1 - y3) ** 2
+    return s1 * x1 + s3 * x2 + s2 * x3, s1 * y1 + s3 * y2 + s2 * y3, s1 + s2 + s3
 
 
 def pythagorean_centre(tri: PlanarTriangle) -> Point:
-    """Midpoint of the altitude from the right angle; the homothety centre for every k."""
+    """The symmedian point, the homothety centre for every k; for a right triangle the
+    midpoint of the altitude from the right angle (the paper's Pythagorean centre)."""
     v, d = _exact(tri)
-    fx, fy, m = _foot(v)
-    return Point((v[0] * m + fx) / (2 * d * m), (v[1] * m + fy) / (2 * d * m))
+    cx, cy, s = _symmedian(v)
+    return Point(cx / (d * s), cy / (d * s))
 
 
 def _orientation(tri: PlanarTriangle) -> float:
@@ -166,7 +167,7 @@ def _orientation(tri: PlanarTriangle) -> float:
 
 
 def _sides(tri: PlanarTriangle) -> tuple[tuple[Point, Point, float], ...]:
-    """``(start, end, length)`` of sides P2P3, P1P2 and P3P1: hypotenuse first, as arc1..arc3."""
+    """``(start, end, length)`` of sides P2P3, P1P2 and P3P1, as arc1..arc3."""
     return (tri.p2, tri.p3, tri.l1), (tri.p1, tri.p2, tri.l2), (tri.p3, tri.p1, tri.l3)
 
 
@@ -183,7 +184,8 @@ def enveloping_triangle(tri: PlanarTriangle, k: float) -> PlanarTriangle:
     Its sides pass through the sagitta tips of the arc family with ratio k and
     stay parallel to the original sides, so the result is similar to ``tri``.
     Each vertex is the exact meeting point of two offset sides, rounded once.
-    Raises ``ConicError`` if a vertex or the hypotenuse is out of the float range.
+    Raises ``ConicError`` if a vertex or a side is out of the float range, or if
+    the rounded vertices are collinear.
     """
     k = _check_k(k)
     v, d = _exact(tri)
@@ -203,33 +205,33 @@ def enveloping_triangle(tri: PlanarTriangle, k: float) -> PlanarTriangle:
             w = (a1 * b2 - b1 * a2) * d  # two lines meet at their cross product
             vertices.append(Point((b1 * c2 - c1 * b2) / w, (c1 * a2 - a1 * c2) / w))
         return PlanarTriangle(*vertices)
-    except (OverflowError, ConicError):  # a vertex or the hypotenuse beyond the float range
-        raise ConicError(f"envelope vertex or hypotenuse is out of the float range "
-                         f"for k={fmt(k)}") from None
+    except (OverflowError, ConicError):
+        raise ConicError(f"envelope vertex or side is out of the float range, or its vertices "
+                         f"round onto one line, for k={fmt(k)}") from None
 
 
-def _scale(tri: PlanarTriangle, v: list[int], k: float) -> tuple[float, int, int]:
-    """The ratio 1 + 2 l1^2 / (k |cross|), with l1^2 = |P3 - P2|^2: rounded once, and as
-    its exact (numerator, denominator).  Raises ``ConicError`` beyond the float range."""
-    x1, y1, x2, y2, x3, y3 = v
+def _scale(tri: PlanarTriangle, v: list[int], s: int, k: float) -> tuple[float, int, int]:
+    """The ratio 1 + s / (k |cross|), s = l1^2 + l2^2 + l3^2: rounded once, and as its exact
+    (numerator, denominator).  Raises ``ConicError`` beyond the float range."""
     kn, kd = k.as_integer_ratio()
     den = abs(_area2(v)) * kn
-    num = den + 2 * kd * ((x3 - x2) ** 2 + (y3 - y2) ** 2)
+    num = den + kd * s
     try:
         return num / den, num, den
     except OverflowError:
-        h1 = altitude_from_right_angle(tri)[1]
-        raise ConicError(f"homothety ratio 1 + 2 l1/(k h1) is out of the float range for "
-                         f"k={fmt(k)}, l1={fmt(tri.l1)}, altitude h1={fmt(h1)}") from None
+        raise ConicError(f"homothety ratio 1 + (l1^2 + l2^2 + l3^2)/(2 k area) is out of the float "
+                         f"range for k={fmt(k)}, l1={fmt(tri.l1)}, l2={fmt(tri.l2)}, "
+                         f"l3={fmt(tri.l3)}") from None
 
 
 def homothety_ratio(tri: PlanarTriangle, k: float) -> float:
-    """Scale factor mapping the triangle onto its k-envelope: 1 + 2 l1 / (k h1),
-    rounded once from its exact value.
+    """Scale factor 1 + (l1^2 + l2^2 + l3^2) / (2 k area) mapping the triangle onto its
+    k-envelope (1 + 2 l1 / (k h1) for a right triangle), rounded once from its exact value.
 
     Raises ``ConicError`` when the ratio is out of the float range.
     """
-    return _scale(tri, _exact(tri)[0], _check_k(k))[0]
+    v = _exact(tri)[0]
+    return _scale(tri, v, _symmedian(v)[2], _check_k(k))[0]
 
 
 class HomothetyReport(NamedTuple):
@@ -244,26 +246,24 @@ def verify_homothety(tri: PlanarTriangle, k: float) -> HomothetyReport:
 
     ``max_deviation`` is the largest distance, in length units, between a
     printed (rounded) envelope vertex and the exact image K + ratio (P - K) of
-    its original vertex P about the exact centre K.  For an exactly right
-    triangle, such as ``place_triangle`` builds, the two agree exactly and the
-    deviation is output rounding alone, about half an ulp of the envelope's
-    coordinates; for a nearly right one it also holds the geometric defect.
+    its original vertex P about the exact centre K.  The two agree exactly for
+    every triangle, so the deviation is output rounding alone: at most half an
+    ulp in each coordinate of an envelope vertex.
     Raises ``ConicError`` if the ratio or the envelope is out of the float range.
     """
     k = _check_k(k)
     v, d = _exact(tri)
-    fx, fy, m = _foot(v)
-    cx, cy = v[0] * m + fx, v[1] * m + fy  # K = (cx, cy) / (2 d m)
-    ratio, num, den = _scale(tri, v, k)
+    cx, cy, s = _symmedian(v)  # K = (cx, cy) / (d s)
+    ratio, num, den = _scale(tri, v, s, k)
     env = enveloping_triangle(tri, k)
-    # the image K + ratio (P - K) of P is (K (den - num) + num P) / den: over 2 d m den
-    scale = 2 * d * m * den
+    # the image K + ratio (P - K) of P is (K (den - num) + num P) / den: over d s den
+    scale = d * s * den
 
     def off(q: float, c: int, p: int) -> float:  # q minus the image coordinate, rounded once
         qn, qd = q.as_integer_ratio()
-        return (qn * scale - (c * (den - num) + 2 * m * num * p) * qd) / (qd * scale)
+        return (qn * scale - (c * (den - num) + s * num * p) * qd) / (qd * scale)
 
     max_deviation = max(math.hypot(off(q.x, cx, px), off(q.y, cy, py))
                         for q, px, py in zip(env, v[0::2], v[1::2]))
-    centre = Point(cx / (2 * d * m), cy / (2 * d * m))
+    centre = Point(cx / (d * s), cy / (d * s))
     return HomothetyReport(centre, ratio, env, max_deviation)

@@ -1,9 +1,9 @@
-"""Drawable scenes: triangle, arc triple, envelope, altitude, centre.
+"""Drawable scenes of any triangle: arc triple, envelope, altitude from P1, centre.
 
 Arcs are sampled in their chord frame and mapped onto each side so they bulge
-away from the triangle interior.  Scenes serialize to JSON (named layers with
-point arrays) and to stroke-only SVG with a deterministic element order, so
-identical input yields byte-identical output.
+outward.  The centre is the symmedian point: for a right triangle, the midpoint of
+the altitude.  Scenes serialize to JSON (named layers with point arrays) and to
+stroke-only SVG in a fixed element order, so identical input gives identical bytes.
 """
 
 from __future__ import annotations

@@ -197,7 +197,7 @@ def test_scene_centre_where_squares_overflow(capsys):
     assert '  "centre": [[2.7375565610859731e+153, 2.4886877828054299e+153]]\n' in out
 
 
-ENVELOPE_OUT_OF_RANGE = "envelope vertex or hypotenuse is out of the float range"
+ENVELOPE_OUT_OF_RANGE = "envelope vertex or side is out of the float range"
 
 
 # each true result is beyond the float range: ratio*l1, the envelope's hypotenuse,
@@ -207,7 +207,7 @@ ENVELOPE_OUT_OF_RANGE = "envelope vertex or hypotenuse is out of the float range
     (("centre", "--leg2", "1e300", "--leg3", "1e300", "--k-list", "1e-10"),
      ENVELOPE_OUT_OF_RANGE),
     (("centre", "--leg2", "1", "--leg3", "1e-300", "--k-list", "1e-10"),
-     "ratio 1 + 2 l1/(k h1) is out of the float range"),
+     "ratio 1 + (l1^2 + l2^2 + l3^2)/(2 k area) is out of the float range"),
     (("scene", "--leg2", "1e300", "--leg3", "1e300", "--e", "1", "--k", "1e-8"),
      ENVELOPE_OUT_OF_RANGE),
     (("centre", "--leg2", "1e300", "--leg3", "1e300", "--k-list", "2.67e-8"),
@@ -266,7 +266,7 @@ def test_arclen_integrand_pole_at_a_node_exit_1(capsys):
 def test_hypotenuse_beyond_float_range_exit_1(capsys, argv):
     code, out, err = run(capsys, *argv, "--leg2", "1e308", "--leg3", "1.5e308")
     assert (code, out) == (1, "")
-    assert err.startswith("conicarcs: error: triangle hypotenuse is out of the float range")
+    assert err.startswith("conicarcs: error: triangle side is out of the float range: l1=inf")
     assert "Traceback" not in err
 
 

@@ -68,9 +68,67 @@ def exact_offset_envelope(tri, k):
     return [meet(side3, side2), meet(side2, side1), meet(side1, side3)]
 
 
+def exact_homothety(tri, k):
+    """Exact centre, ratio and k-envelope of any triangle, as Fractions: the symmedian
+    point K = (l1^2 P1 + l3^2 P2 + l2^2 P3) / s with s = l1^2 + l2^2 + l3^2, the ratio
+    1 + s / (2 k area), and the offset-side envelope, asserted to be the homothety image
+    K + ratio (P - K) of the vertices."""
+    (x1, y1), (x2, y2), (x3, y3) = pts = [tuple(map(Fraction, p)) for p in tri]
+    s1, s2, s3 = ((bx - ax) ** 2 + (by - ay) ** 2
+                  for (ax, ay), (bx, by) in ((pts[1], pts[2]), (pts[0], pts[1]), (pts[2], pts[0])))
+    s = s1 + s2 + s3
+    cx, cy = (s1 * x1 + s3 * x2 + s2 * x3) / s, (s1 * y1 + s3 * y2 + s2 * y3) / s
+    ratio = 1 + s / (Fraction(k) * abs((x2 - x1) * (y3 - y1) - (y2 - y1) * (x3 - x1)))
+    envelope = exact_offset_envelope(tri, k)
+    assert envelope == [(cx + ratio * (px - cx), cy + ratio * (py - cy)) for px, py in pts]
+    return (cx, cy), ratio, envelope
+
+
 def rounded(points):
     """Each exact (x, y) as the nearest floats; OverflowError beyond the float range."""
     return tuple((float(x), float(y)) for x, y in points)
+
+
+def rounding_bound(env):
+    """The farthest that rounding each coordinate to nearest can move a vertex of ``env``."""
+    return max(math.hypot(math.ulp(x), math.ulp(y)) for x, y in env) / 2
+
+
+def check_exact(tri, k, exact=None):
+    """Centre, ratio and envelope of ``tri`` at k are each the exact value (``exact``,
+    by default from ``exact_homothety``) rounded once, or refused where that value is
+    beyond the float range (or the rounded envelope is collinear), and
+    ``verify_homothety`` reports the same values with a ``max_deviation`` within
+    output rounding.  True if it reported."""
+    centre, ratio, envelope = exact or exact_homothety(tri, k)
+    assert pythagorean_centre(tri) == rounded([centre])[0], tri
+    try:
+        want_ratio = float(ratio)
+    except OverflowError:
+        with pytest.raises(ConicError, match="ratio .* out of the float range"):
+            homothety_ratio(tri, k)
+        want_ratio = None
+    else:
+        assert homothety_ratio(tri, k) == want_ratio, (tri, k)
+    try:
+        want_env = rounded(envelope)
+        (x1, y1), (x2, y2), (x3, y3) = want_env
+        sides = map(math.hypot, (x3 - x2, x2 - x1, x1 - x3), (y3 - y2, y2 - y1, y1 - y3))
+        X1, Y1, X2, Y2, X3, Y3 = map(Fraction, (x1, y1, x2, y2, x3, y3))
+        fits = max(sides) < math.inf and (X2 - X1) * (Y3 - Y1) != (Y2 - Y1) * (X3 - X1)
+    except OverflowError:
+        fits = False
+    if not fits:
+        with pytest.raises(ConicError, match="envelope vertex or side"):
+            enveloping_triangle(tri, k)
+        return False
+    assert enveloping_triangle(tri, k) == want_env, (tri, k)
+    if want_ratio is None:
+        return False
+    rep = verify_homothety(tri, k)
+    assert rep[:3] == (pythagorean_centre(tri), want_ratio, want_env)
+    assert rep.max_deviation <= rounding_bound(rep.enveloping), (tri, k)
+    return True
 
 
 def test_place_triangle():
@@ -100,31 +158,34 @@ def test_place_triangle_rejects_bad_legs():
         place_triangle(4.0, -3.0)
 
 
-def test_planar_triangle_requires_right_angle():
-    with pytest.raises(ValueError):
-        PlanarTriangle(Point(0.0, 0.0), Point(1.0, 0.0), Point(1.0, 1.0))
+def test_planar_triangle_accepts_any_non_collinear_triangle():
+    tri = PlanarTriangle(Point(0.0, 0.0), Point(1.0, 0.0), Point(1.0, 1.0))  # right angle at P2
+    assert (tri.l1, tri.l2, tri.l3) == (1.0, 1.0, math.sqrt(2.0))
+    with pytest.raises(ValueError, match="triangle vertices must not be collinear"):
+        PlanarTriangle(Point(0.0, 0.0), Point(1.0, 1.0), Point(3.0, 3.0))
 
 
 @pytest.mark.parametrize("s", [1e-170, 1e200])
-def test_right_angle_check_holds_at_every_scale(s):
-    # the dot product and its tolerance would under- or overflow as plain products
-    with pytest.raises(ConicError, match="not right-angled at P1"):
-        PlanarTriangle(Point(0.0, 0.0), Point(s, 0.0), Point(s, s))
+def test_collinear_check_holds_at_every_scale(s):
+    # the cross product would under- or overflow as plain products
+    with pytest.raises(ConicError, match="must not be collinear"):
+        PlanarTriangle(Point(0.0, 0.0), Point(s, s), Point(3 * s, 3 * s))
+    PlanarTriangle(Point(0.0, 0.0), Point(s, s), Point(3 * s, math.nextafter(3 * s, math.inf)))
     tri = PlanarTriangle(Point(0.0, 0.0), Point(3 * s, 4 * s), Point(-4 * s, 3 * s))
     assert (tri.l2, tri.l3) == approx((5 * s, 5 * s), rel=1e-15)
 
 
 def test_triangle_with_hypotenuse_beyond_float_range_is_refused():
     # the hypotenuse, about 1.8e308, is no float; h1 = l2 l3 / l1 would be 0
-    with pytest.raises(ConicError, match="hypotenuse is out of the float range"):
+    with pytest.raises(ConicError, match="triangle side is out of the float range: l1=inf"):
         place_triangle(1e308, 1.5e308)
     c = s = math.sqrt(0.5)  # turned by 45 degrees: every coordinate difference fits
-    with pytest.raises(ConicError, match="hypotenuse is out of the float range"):
+    with pytest.raises(ConicError, match="triangle side is out of the float range: l1=inf"):
         PlanarTriangle(Point(0.0, 0.0), Point(1e308 * c, 1e308 * s),
                        Point(-1.5e308 * s, 1.5e308 * c))
-    # the leg vector P2 - P1 overflows before any Point could hold it
-    with pytest.raises(ConicError, match="hypotenuse is out of the float range for legs inf"):
-        PlanarTriangle(Point(1e308, 0.0), Point(-1e308, 0.0), Point(1e308, 1e-300))
+    # the side vector P2 - P1 overflows before any Point could hold it; the others fit
+    with pytest.raises(ConicError, match=r"range: l1=1e\+308, l2=inf, l3=1e\+308$"):
+        PlanarTriangle(Point(1e308, 0.0), Point(-1e308, 0.0), Point(0.0, 1.0))
     assert place_triangle(1e308, 1.3e308).l1 == approx(math.hypot(1e308, 1.3e308))
 
 
@@ -154,12 +215,12 @@ def test_point_make_and_replace_check_components(make):
         make()
 
 
-def test_planar_triangle_make_and_replace_check_the_right_angle():
+def test_planar_triangle_make_and_replace_check_collinearity():
     tri = place_triangle(4.0, 3.0)
-    with pytest.raises(ConicError, match="not right-angled at P1"):
-        tri._replace(p3=Point(1.0, 1.0))
-    with pytest.raises(ConicError, match="not right-angled at P1"):
-        PlanarTriangle._make([Point(0.0, 0.0), Point(1.0, 0.0), Point(1.0, 1.0)])
+    with pytest.raises(ConicError, match="must not be collinear"):
+        tri._replace(p3=Point(8.0, 0.0))
+    with pytest.raises(ConicError, match="must not be collinear"):
+        PlanarTriangle._make([Point(0.0, 0.0), Point(1.0, 1.0), Point(1.0, 1.0)])
     moved = tri._replace(p2=Point(8.0, 0.0))
     assert (moved.l1, moved.l2, moved.l3) == (math.hypot(8.0, 3.0), 8.0, 3.0)
 
@@ -180,7 +241,7 @@ def test_points_and_triangles_are_named_tuples():
 
 
 def test_planar_triangle_rejects_repeated_vertex():
-    with pytest.raises(ConicError, match="triangle vertices must be distinct"):
+    with pytest.raises(ConicError, match="triangle vertices must not be collinear"):
         PlanarTriangle(Point(0.0, 0.0), Point(0.0, 0.0), Point(0.0, 3.0))
 
 
@@ -229,8 +290,7 @@ def test_enveloping_triangle_side_offsets():
     assert line_distance(tri.p2, env.p2, env.p3) == approx(5.0 / 8.0, rel=1e-12)
     assert line_distance(tri.p1, env.p1, env.p2) == approx(4.0 / 8.0, rel=1e-12)
     assert line_distance(tri.p1, env.p3, env.p1) == approx(3.0 / 8.0, rel=1e-12)
-    # right angle survives (the PlanarTriangle constructor already checks, but
-    # assert the similarity ratio explicitly)
+    # the envelope is similar to the triangle, with the homothety ratio
     assert env.l1 / tri.l1 == approx(homothety_ratio(tri, 8.0), rel=1e-12)
     assert env.l2 / tri.l2 == approx(env.l1 / tri.l1, rel=1e-12)
 
@@ -273,7 +333,7 @@ def test_skinny_triangle_envelope_stays_right_angled(legs, k):
     c, s = math.cos(0.6), math.sin(0.6)
     rotated = PlanarTriangle(*(Point(c * p.x - s * p.y, s * p.x + c * p.y)
                                for p in (tri.p1, tri.p2, tri.p3)))
-    verify_homothety(rotated, k)
+    assert check_exact(rotated, k)  # the exact image of a nearly right triangle
     build_scene(rotated, 0.5, k, 16)
 
 
@@ -296,18 +356,18 @@ def test_homothety_ratio_values():
 def test_verify_homothety_rejects_infinite_deviation():
     # ratio about 4e10, envelope about 5.7e310: no deviation can be measured on it
     tri = place_triangle(1e300, 1e300)
-    with pytest.raises(ConicError, match="envelope vertex or hypotenuse is out of the float range"):
+    with pytest.raises(ConicError, match="envelope vertex or side is out of the float range"):
         verify_homothety(tri, 1e-10)
 
 
 # the true ratios, 1 + 2 l1/(k h1), are about 2e310
-@pytest.mark.parametrize("legs, k, h1", [
+@pytest.mark.parametrize("legs, k, l3", [
     ((1.0, 1e-300), 1e-10, "1e-300"),
     ((1e300, 1e-10), 1.0, "1e-10"),
 ], ids=["short-altitude", "long-hypotenuse"])
-def test_homothety_ratio_rejects_ratio_out_of_range(legs, k, h1):
+def test_homothety_ratio_rejects_ratio_out_of_range(legs, k, l3):
     for check in (homothety_ratio, verify_homothety):
-        with pytest.raises(ConicError, match=rf"ratio .* out of the float range .* altitude h1={h1}$"):
+        with pytest.raises(ConicError, match=rf"ratio .* out of the float range .* l3={l3}$"):
             check(place_triangle(*legs), k)
 
 
@@ -317,7 +377,7 @@ def test_homothety_ratio_rejects_ratio_out_of_range(legs, k, h1):
     ((2e-323, 8.015632967165127e+307), 1.7580264592430306e+226),
 ], ids=["long-leg2", "long-leg3"])
 def test_enveloping_triangle_legs_at_both_float_range_ends(legs, k):
-    with pytest.raises(ConicError, match="envelope vertex or hypotenuse is out of the float range"):
+    with pytest.raises(ConicError, match="envelope vertex or side is out of the float range"):
         enveloping_triangle(place_triangle(*legs), k)
 
 
@@ -331,19 +391,23 @@ def test_envelope_exact_where_float_sides_are_parallel():
     assert env.l2 == approx(verify_homothety(tri, 8.0).ratio * tri.l2, rel=1e-15)
 
 
-# |cos| of the angle at P1 is decided exactly against 1e-12: the first x of each
-# pair is the largest float with x^2 / (x^2 + b^2) <= 1e-24, the second the next one
-@pytest.mark.parametrize("a, b, below, above", [
-    (1.0, 3.0, 2.9999999999999997e-12, 3e-12),
-    (3.0, 0.3, 3e-13, 3.0000000000000003e-13),
-])
-def test_right_angle_decided_exactly_at_the_threshold(a, b, below, above):
-    for x, right in ((below, True), (above, False)):
-        X, B = Fraction(x), Fraction(b)
-        assert (X * X * 10**24 <= X * X + B * B) == right
-    PlanarTriangle(Point(0.0, 0.0), Point(a, 0.0), Point(below, b))
-    with pytest.raises(ConicError, match="not right-angled at P1"):
-        PlanarTriangle(Point(0.0, 0.0), Point(a, 0.0), Point(above, b))
+# collinearity is decided from the exact cross product, not from its float value:
+# the first triangle is collinear though (P2 - P1) x (P3 - P1) is 1.4e-17 in floats,
+# the second is not though it is 0 in floats
+@pytest.mark.parametrize("pts, collinear", [
+    (((0.078, 0.2), (0.161, 0.497), (0.327, 1.091)), True),
+    (((0.18, 0.08), (0.83, 0.11), (2.13, 0.17)), False),
+], ids=["collinear", "float-cross-is-0"])
+def test_collinearity_decided_exactly(pts, collinear):
+    (x1, y1), (x2, y2), (x3, y3) = pts
+    assert ((x2 - x1) * (y3 - y1) == (y2 - y1) * (x3 - x1)) != collinear
+    X1, Y1, X2, Y2, X3, Y3 = map(Fraction, (x1, y1, x2, y2, x3, y3))
+    assert ((X2 - X1) * (Y3 - Y1) == (Y2 - Y1) * (X3 - X1)) == collinear
+    if collinear:
+        with pytest.raises(ConicError, match="must not be collinear"):
+            PlanarTriangle(*(Point(*p) for p in pts))
+    else:
+        PlanarTriangle(*(Point(*p) for p in pts))
 
 
 def test_altitude_exact_where_the_hypotenuse_square_underflows():
@@ -365,24 +429,14 @@ def test_verify_homothety_closes_the_loop():
 
 
 @pytest.mark.parametrize("k", [0.5, 8.0])
-def test_max_deviation_of_a_nearly_right_triangle_holds_its_defect(k):
-    # |cos| at P1 is 1e-13: accepted as right, but its offset-line envelope is not
-    # quite the homothety image about the altitude's midpoint K with ratio
-    # 1 + 2 |P3 - P2|^2 / (k |(P2 - P1) x (P3 - P1)|); the report measures the gap
+def test_max_deviation_of_a_nearly_right_triangle_is_rounding(k):
+    # |cos| at P1 is 1e-13: the altitude's midpoint is not the centre, but the
+    # envelope is still the exact image about the symmedian point, so the report
+    # measures output rounding alone
     tri = PlanarTriangle(Point(0.0, 0.0), Point(1.0, 0.0), Point(1e-13, 1.0))
-    rep = verify_homothety(tri, k)
-    assert rep.enveloping == rounded(exact_offset_envelope(tri, k))
-    (x1, y1), (x2, y2), (x3, y3) = pts = [tuple(map(Fraction, p)) for p in tri]
-    dx, dy = x3 - x2, y3 - y2
-    t = ((x1 - x2) * dx + (y1 - y2) * dy) / (dx * dx + dy * dy)
-    cx, cy = (x1 + x2 + t * dx) / 2, (y1 + y2 + t * dy) / 2
-    cross = (x2 - x1) * (y3 - y1) - (y2 - y1) * (x3 - x1)
-    ratio = 1 + 2 * (dx * dx + dy * dy) / (Fraction(k) * cross)
-    assert rep[:2] == ((float(cx), float(cy)), float(ratio))
-    defect = max(math.hypot(float(qx - cx - ratio * (px - cx)), float(qy - cy - ratio * (py - cy)))
-                 for (qx, qy), (px, py) in zip(exact_offset_envelope(tri, k), pts))
-    ulp = math.ulp(rep.enveloping.l1)
-    assert defect > 20 * ulp and abs(rep.max_deviation - defect) <= 0.71 * ulp
+    assert check_exact(tri, k)
+    foot, _ = altitude_from_right_angle(tri)
+    assert pythagorean_centre(tri) != (foot.x / 2, foot.y / 2)
 
 
 def test_verify_homothety_report_ratio_definition():
@@ -447,11 +501,9 @@ def test_centre_foot_and_ratio_against_exact_rationals():
 
 def test_centre_altitude_and_ratio_exact_at_extreme_magnitudes():
     """The exact-rational check above, with legs and k log-uniform in 1e-300..1e300,
-    where squares and products of the legs and k leave the float range.  Centre,
-    foot, ratio and envelope are each the correctly rounded exact value, or refused
-    where that value is beyond the float range; h1 is l2 l3 / l1 for the stored l1,
-    rounded once.  The report holds the same values, and its max_deviation is output
-    rounding alone: at most sqrt(2)/2 ulp of the envelope's hypotenuse."""
+    where squares and products of the legs and k leave the float range: ``check_exact``
+    against the closed forms of ``exact_placed``.  The foot is rounded once, and h1 is
+    l2 l3 / l1 for the stored l1, rounded once."""
     rng = random.Random("exact homothety at extreme magnitudes")
     cases = [((1e150, 1e200), 8.0)]  # l2 * l3 overflows; the ratio is 2.5e49
     cases += [((10.0 ** rng.uniform(-300.0, 300.0), 10.0 ** rng.uniform(-300.0, 300.0)),
@@ -459,36 +511,75 @@ def test_centre_altitude_and_ratio_exact_at_extreme_magnitudes():
     reported = 0
     for (l2, l3), k in cases:
         tri = place_triangle(l2, l3)
-        (cx, cy), ratio, envelope = exact_placed(l2, l3, k)
-        assert pythagorean_centre(tri) == (float(cx), float(cy)), (l2, l3)
+        exact = exact_placed(l2, l3, k)
+        (cx, cy), _, _ = exact
         foot, h1 = altitude_from_right_angle(tri)
         assert foot == (float(2 * cx), float(2 * cy)), (l2, l3)
         assert h1 == float(Fraction(l2) * Fraction(l3) / Fraction(tri.l1)), (l2, l3)
-        try:
-            want_ratio = float(ratio)
-        except OverflowError:
-            with pytest.raises(ConicError, match="ratio .* out of the float range"):
-                homothety_ratio(tri, k)
-            want_ratio = None
-        else:
-            assert homothety_ratio(tri, k) == want_ratio, (l2, l3, k)
-        try:
-            want_env = rounded(envelope)
-            (_, (x2, y2), (x3, y3)) = want_env
-            fits = math.isfinite(math.hypot(x3 - x2, y3 - y2))
-        except OverflowError:
-            fits = False
-        if not fits:
-            with pytest.raises(ConicError, match="envelope vertex or hypotenuse"):
-                enveloping_triangle(tri, k)
-            continue
-        assert enveloping_triangle(tri, k) == want_env, (l2, l3, k)
-        if want_ratio is not None:
-            rep = verify_homothety(tri, k)
-            assert rep[:3] == (pythagorean_centre(tri), want_ratio, want_env)
-            assert rep.max_deviation <= 0.71 * math.ulp(rep.enveloping.l1), (l2, l3, k)
-            reported += 1
+        reported += check_exact(tri, k, exact)
     assert reported >= 800
+
+
+# (0, 0), (6, 0), (3, 4): squared sides l1^2 = l3^2 = 25 and l2^2 = 36 sum to 86, and
+# twice the area is 24, so K = (25 P1 + 25 P2 + 36 P3) / 86 = (3, 72/43) and the
+# ratio is 1 + 86 / (24 k)
+@pytest.mark.parametrize("k, ratio, envelope", [
+    (8.0, Fraction(139, 96), [(Fraction(-43, 32), Fraction(-3, 4)),
+                              (Fraction(235, 32), Fraction(-3, 4)), (3, Fraction(121, 24))]),
+    (2.5, Fraction(73, 30), [(Fraction(-43, 10), Fraction(-12, 5)),
+                             (Fraction(103, 10), Fraction(-12, 5)), (3, Fraction(22, 3))]),
+], ids=["k=8", "k=5/2"])
+def test_lattice_triangle_homothety_exact(k, ratio, envelope):
+    tri = PlanarTriangle(Point(0.0, 0.0), Point(6.0, 0.0), Point(3.0, 4.0))
+    assert exact_homothety(tri, k) == ((3, Fraction(72, 43)), ratio, envelope)
+    assert check_exact(tri, k)
+    assert verify_homothety(tri, k)[:2] == ((3.0, 1.6744186046511629), float(ratio))
+
+
+def test_homothety_exact_for_triangles_of_every_shape():
+    """``check_exact`` on 2,000 seeded triangles of every shape: three vertices at
+    random angles and distances on a circle of radius 1e-300..1e300 about the origin,
+    or, for a quarter of them, of radius 1e-3..1e3 about a point up to 1e6 away;
+    k is log-uniform in 1e-3..1e8."""
+    rng = random.Random("exact homothety, triangles of every shape")
+    obtuse = reported = 0
+    for i in range(2000):
+        if i % 4:
+            ox = oy = 0.0
+            size = 10.0 ** rng.uniform(-300.0, 300.0)
+        else:
+            r, phi = 10.0 ** rng.uniform(0.0, 6.0), rng.uniform(0.0, 2.0 * math.pi)
+            ox, oy = r * math.cos(phi), r * math.sin(phi)
+            size = 10.0 ** rng.uniform(-3.0, 3.0)
+        pts = []
+        for _ in range(3):
+            turn, r = rng.uniform(0.0, 2.0 * math.pi), size * rng.uniform(0.1, 1.0)
+            pts.append(Point(ox + r * math.cos(turn), oy + r * math.sin(turn)))
+        tri = PlanarTriangle(*pts)
+        a, b, c = sorted((tri.l1, tri.l2, tri.l3))
+        obtuse += (a / c) ** 2 + (b / c) ** 2 < 1.0
+        reported += check_exact(tri, 10.0 ** rng.uniform(-3.0, 8.0))
+    assert min(obtuse, 2000 - obtuse) >= 500 and reported >= 1900, (obtuse, reported)
+
+
+def test_turned_triangles_far_from_the_origin_get_their_envelopes():
+    """A right triangle turned and moved away from the origin has rounded vertices, so
+    its angle at P1 is only nearly right; its envelope is still the exact one, rounded
+    once, and never refused.  The first case's rounded envelope is more than 1e-12
+    away from a right angle.  Then 1,580 seeded cases: legs log-uniform in 1e-3..10,
+    P1 up to 1e6 from the origin, k log-uniform in 0.1..1e3."""
+    cases = [((1e6, 1e6), (1e-3, 1e-3), 0.6, 8.0)]
+    rng = random.Random("turned triangles far from the origin")
+    for _ in range(1580):
+        r, phi = 10.0 ** rng.uniform(0.0, 6.0), rng.uniform(0.0, 2.0 * math.pi)
+        cases.append(((r * math.cos(phi), r * math.sin(phi)),
+                      (10.0 ** rng.uniform(-3.0, 1.0), 10.0 ** rng.uniform(-3.0, 1.0)),
+                      rng.uniform(0.0, 2.0 * math.pi), 10.0 ** rng.uniform(-1.0, 3.0)))
+    for (ox, oy), (l2, l3), turn, k in cases:
+        c, s = math.cos(turn), math.sin(turn)
+        tri = PlanarTriangle(Point(ox, oy), Point(ox + l2 * c, oy + l2 * s),
+                             Point(ox - l3 * s, oy + l3 * c))
+        assert check_exact(tri, k), (tri, k)
 
 
 @pytest.mark.parametrize("decades", [6.0, 75.0])
