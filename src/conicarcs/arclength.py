@@ -7,7 +7,8 @@ The primary route integrates the focus-centred polar form,
                                     / (1 + e cos(theta))^2 dtheta,
 
 so the chord length factors out completely: c = g(e, k) * l.  The integral
-has no elementary antiderivative in general, hence adaptive quadrature; the
+has no elementary antiderivative in general, hence adaptive quadrature:
+QUADPACK's QAGS, ported to pure Python in ``quadpack`` bit for bit.  The
 circle and parabola do have elementary closed forms, kept here as independent
 oracles, together with a brute-force polyline length.
 """
@@ -37,32 +38,21 @@ _REL_TOL = 1e-12
 
 
 @functools.cache
-def _qagse():
-    """QUADPACK's QAGS on a finite [a, b], loaded on the first call without ``scipy.integrate``.
+def _qags():
+    """``quadpack.qags``, imported on the first length: commands without one never compile it."""
+    from .quadpack import qags
 
-    This is ``_qagse`` of scipy's compiled QUADPACK module: the routine
-    ``scipy.integrate.quad`` runs for a finite interval, so the same arguments
-    in the same order give bitwise the same ``(value, abserr, info, ...)``.
-    Importing ``scipy.integrate`` loads most of scipy, about three quarters of
-    a second; the compiled module needs only numpy.
-    """
-    import os
-    from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
-    from importlib.util import module_from_spec
-
-    import scipy
-
-    finder = FileFinder(os.path.join(scipy.__path__[0], "integrate"),
-                        (ExtensionFileLoader, EXTENSION_SUFFIXES))
-    spec = finder.find_spec("scipy.integrate._quadpack")
-    if spec is None:
-        raise ImportError(f"scipy {scipy.__version__} has no compiled scipy.integrate._quadpack")
-    module = module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module._qagse
+    return qags
 
 
 class ArcLengthResult(NamedTuple):
+    """An arc length, its error estimate, and QUADPACK's count of integrand evaluations.
+
+    ``evaluations`` is QUADPACK's nominal count, 21 per Gauss-Kronrod rule
+    (42 * last - 21 after ``last`` subintervals), not the number of integrand
+    calls made: rules on mirror-image subintervals are computed once.
+    """
+
     length: float
     error_estimate: float
     evaluations: int
@@ -78,27 +68,18 @@ def arc_length(arc: ConicArc) -> ArcLengthResult:
     or 1 + e cos(theta) rounds to 0 at a node: both only next to the asymptote.
     """
     e = arc.e
-    esq = e * e
-
-    def integrand(theta: float) -> float:
-        # 2.0 * c rounds as 2.0 * e * cos(theta) did: doubling is exact
-        c = e * math.cos(theta)
-        denom = 1.0 + c
-        return math.sqrt(1.0 + 2.0 * c + esq) / (denom * denom)
-
     try:
-        out = _qagse()(integrand, -arc.beta, arc.beta, (), 1, 0.0, _REL_TOL, _MAX_SUBDIVISIONS)
+        value, abserr, evaluations = _qags()(e, arc.beta, _REL_TOL, _MAX_SUBDIVISIONS)
     except ZeroDivisionError:
         raise QuadratureNonConvergence(f"1 + e*cos(theta) rounds to 0 at a quadrature node "
                                        f"(e={fmt(e)}, k={fmt(arc.k)})") from None
-    value, abserr, info = out[0], out[1], out[2]
     # judged before scaling by p, so an underflowing p cannot hide a failure; NaN fails too
     if not abserr <= _REL_TOL * value:
         raise QuadratureNonConvergence(
             f"relative error estimate {fmt(abserr / value)} above {_REL_TOL!r} after "
             f"{_MAX_SUBDIVISIONS} subdivisions (e={fmt(e)}, k={fmt(arc.k)})"
         )
-    return ArcLengthResult(arc.p * value, arc.p * abserr, int(info["neval"]))
+    return ArcLengthResult(arc.p * value, arc.p * abserr, evaluations)
 
 
 def closed_form_circle(arc: ConicArc) -> float:

@@ -230,36 +230,80 @@ def test_nonconvergence_judged_before_scaling():
             arc_length(arc._replace(p=p))
 
 
-@pytest.mark.parametrize("e, k_over_min", [(0.5, 3.0), (1.0, 2.0), (2.0, 1.5), (3.0, 1.0 + 1e-6)])
-def test_qagse_matches_scipy_quad(e, k_over_min):
-    # arc_length calls QUADPACK's compiled qagse directly; scipy.integrate.quad
-    # runs that routine for a finite interval, so value, error estimate and
-    # evaluation count agree bitwise, also where the budget runs out (last case)
-    from conicarcs.arclength import _qagse
+def scipy_quad_outcome(e, beta):
+    """(value, abserr, neval) of scipy's compiled QUADPACK for arc_length's integrand, or
+    the name of the exception the integrand raised."""
 
     def integrand(theta):
-        denom = 1.0 + e * math.cos(theta)
-        return math.sqrt(1.0 + 2.0 * e * math.cos(theta) + e * e) / (denom * denom)
+        c = e * math.cos(theta)
+        denom = 1.0 + c
+        return math.sqrt(1.0 + 2.0 * c + e * e) / (denom * denom)
+
+    try:
+        value, abserr, info = quad(integrand, -beta, beta, full_output=1, epsabs=0.0,
+                                   epsrel=1e-12, limit=60)[:3]
+    except ZeroDivisionError as exc:
+        return type(exc).__name__
+    return value, abserr, info["neval"]
+
+
+def seeded_arcs(n):
+    """n feasible arcs, a quarter per conic class: half with k up to 1e-13 relative above the
+    limit (parabola k from 1e-6 to 0.1), half with k log-uniform up to 1e8."""
+    rng = random.Random("qags against scipy")
+    arcs = []
+    while len(arcs) < n:
+        e = (0.0, rng.uniform(0.0, 1.0), 1.0, 10.0 ** rng.uniform(0.0, 3.0))[len(arcs) % 4]
+        k_min = feasibility_min_k(e)
+        near = rng.random() < 0.5
+        if near and e == 1.0:  # the parabola has no limit; small k is its boundary layer
+            k = 10.0 ** rng.uniform(-6.0, -1.0)
+        elif near:
+            k = k_min * (1.0 + 10.0 ** rng.uniform(-13.0, 0.0))
+        else:
+            k = 10.0 ** rng.uniform(math.log10(max(1.1 * k_min, 1e-6)), 8.0)
+        try:
+            arcs.append(construct_arc(1.0, 1.0 / k, e))
+        except InfeasibleSagitta:  # 1 / (1 / k) rounded onto the limit
+            pass
+    return arcs
+
+
+def test_qags_matches_scipy_quad_bitwise():
+    # the pure-Python QAGS returns scipy's (value, abserr, neval) bit for bit, also where
+    # the 60-subdivision budget runs out, and raises where scipy's integrand raises:
+    # first at a pole on a node (the arc of test_integrand_pole_at_a_node_raises_nonconvergence)
+    from conicarcs.quadpack import qags
+
+    pole = construct_arc(0.8193141995619333, 0.4497990671475703, 1.3525812688823207)
+    arcs = [pole] + seeded_arcs(2400)
+    mismatches, at_limit = [], 0
+    for arc in arcs:
+        expected = scipy_quad_outcome(arc.e, arc.beta)
+        try:
+            got = qags(arc.e, arc.beta, 1e-12, 60)
+        except ZeroDivisionError as exc:
+            got = type(exc).__name__
+        at_limit += isinstance(expected, tuple) and expected[2] == 42 * 60 - 21
+        # repr round-trips a float: equal text is equal bits, -0.0 and nan included
+        if repr(got) != repr(expected):
+            mismatches.append((arc.e, arc.k, expected, got))
+    assert scipy_quad_outcome(pole.e, pole.beta) == "ZeroDivisionError"
+    assert not mismatches
+    assert at_limit >= 50
+
+
+@pytest.mark.parametrize("e, k_over_min", [(0.5, 3.0), (1.0, 2.0), (2.0, 1.5), (3.0, 1.0 + 1e-6)])
+def test_qagse_matches_scipy_quad(e, k_over_min):
+    # the pure-Python port of QUADPACK's qagse agrees bitwise with the compiled routine
+    # scipy.integrate.quad runs on a finite interval: value, error estimate and
+    # evaluation count (the last case needs 40 subdivisions)
+    from conicarcs.quadpack import qags
 
     k = max(feasibility_min_k(e), 1.0) * k_over_min
     beta = construct_arc(1.0, 1.0 / k, e).beta
-    direct = _qagse()(integrand, -beta, beta, (), 1, 0.0, 1e-12, 60)
-    public = quad(integrand, -beta, beta, (), 1, 0.0, 1e-12, 60)
-    assert direct[:2] == public[:2]
-    assert direct[2]["neval"] == public[2]["neval"]
-
-
-def test_qagse_without_compiled_quadpack_raises_import_error(monkeypatch, tmp_path):
-    # QUADPACK has one path: where scipy has no compiled module there is no
-    # fallback, and the error names that scipy's version.  __wrapped__ skips the
-    # cache, so no extension module loads twice.
-    import scipy
-
-    from conicarcs.arclength import _qagse
-
-    monkeypatch.setattr(scipy, "__path__", [str(tmp_path)])
-    with pytest.raises(ImportError, match=re.escape(scipy.__version__)):
-        _qagse.__wrapped__()
+    expected = scipy_quad_outcome(e, beta)
+    assert repr(qags(e, beta, 1e-12, 60)) == repr(expected)
 
 
 def load_mpmath_oracle():

@@ -1,4 +1,4 @@
-"""What the package root exports, and its result records; numpy and scipy load only when needed."""
+"""What the package root exports, and its result records; numpy loads when needed, scipy never."""
 
 import os
 import subprocess
@@ -32,14 +32,17 @@ for line in sys.argv[1:]:
     report(rc)
 """
 
-# (command line, exit code, modules loaded after it); each runs after the ones before
+# (command line, exit code, modules loaded after it); each runs after the ones before.
+# Lengths come from the pure-Python QUADPACK port, so no command loads scipy.
 STEPS = [
     ("construct --l 1 --f 0.25 --e 0.5", 0, ""),
     ("centre --leg2 4 --leg3 3", 0, ""),
     ("arclen --l 1 --f 0.9 --e 2", 3, ""),  # infeasible: rejected before any length
+    ("arclen --l 1 --f 0.125 --e 1", 0, ""),
+    ("verify --leg2 4 --leg3 3 --e 0.5 --k 8", 0, ""),
+    ("sweep --leg2 3 --leg3 4 --e-list 0,1,2 --k-list 4,8", 0, ""),
+    ("oracle --l 1 --f 0.125 --e 1 --n 64", 0, "numpy"),  # the polyline
     ("scene --leg2 4 --leg3 3 --e 1 --k 8", 0, "numpy"),
-    ("arclen --l 1 --f 0.125 --e 1", 0, "numpy,scipy"),  # QUADPACK alone, not scipy.integrate
-    ("verify --leg2 4 --leg3 3 --e 0.5 --k 8", 0, "numpy,scipy"),
 ]
 
 
