@@ -12,18 +12,11 @@ import argparse
 import math
 import sys
 
-from .arclength import (
-    arc_length,
-    closed_form_circle,
-    closed_form_parabola,
-    polyline_length,
-)
-from .conic import ConicClass, construct_arc
+# Each command imports the library modules it runs, so a cold command loads
+# only those.  main() catches these errors, and perfbench counts calls
+# through cli.fmt.
 from .errors import InfeasibleSagitta, QuadratureNonConvergence
-from .homothety import place_triangle, verify_homothety
-from .scene import build_scene, scene_to_json, scene_to_svg
 from .textfmt import fmt
-from .triples import conic_triple, make_right_triangle, sweep, sweep_csv
 
 __all__ = ["main"]
 
@@ -50,10 +43,9 @@ def _finite_list(text: str) -> list[float]:
     return [_finite(t) for t in items]
 
 
-_CLOSED_FORMS = {ConicClass.CIRCLE: closed_form_circle, ConicClass.PARABOLA: closed_form_parabola}
-
-
 def _cmd_construct(args) -> int:
+    from .conic import construct_arc
+
     arc = construct_arc(args.l, args.f, args.e)
     fields = [f'"class": "{arc.conic_class.value}"']  # then every other field, in order
     fields += [f'"{name}": {"null" if value is None else fmt(value)}'
@@ -63,6 +55,9 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_arclen(args) -> int:
+    from .arclength import arc_length
+    from .conic import construct_arc
+
     arc = construct_arc(args.l, args.f, args.e)
     res = arc_length(arc)
     print(f"length={fmt(res.length)}")
@@ -72,6 +67,8 @@ def _cmd_arclen(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .triples import conic_triple, make_right_triangle
+
     tri = make_right_triangle(args.leg2, args.leg3)
     triple = conic_triple(tri, args.e, args.k)
     c1, c2, c3 = triple.lengths
@@ -83,6 +80,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    from .triples import make_right_triangle, sweep, sweep_csv
+
     tri = make_right_triangle(args.leg2, args.leg3)
     rows = sweep(tri, args.e_list, args.k_list)
     sys.stdout.write(sweep_csv(rows))
@@ -90,6 +89,9 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_scene(args) -> int:
+    from .homothety import place_triangle
+    from .scene import build_scene, scene_to_json, scene_to_svg
+
     tri = place_triangle(args.leg2, args.leg3)
     scene = build_scene(tri, args.e, args.k, args.samples)
     doc = scene_to_svg(scene) if args.format == "svg" else scene_to_json(scene)
@@ -98,6 +100,8 @@ def _cmd_scene(args) -> int:
 
 
 def _cmd_centre(args) -> int:
+    from .homothety import place_triangle, verify_homothety
+
     tri = place_triangle(args.leg2, args.leg3)
     reports = [verify_homothety(tri, k) for k in args.k_list]
     print(f"centre_x={fmt(reports[0].centre.x)}")
@@ -108,10 +112,14 @@ def _cmd_centre(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    from .arclength import arc_length, closed_form_circle, closed_form_parabola, polyline_length
+    from .conic import ConicClass, construct_arc
+
     arc = construct_arc(args.l, args.f, args.e)
     c = arc_length(arc).length
     others = [("polyline", polyline_length(arc, args.n))]
-    closed_form = _CLOSED_FORMS.get(arc.conic_class)
+    closed_form = {ConicClass.CIRCLE: closed_form_circle,
+                   ConicClass.PARABOLA: closed_form_parabola}.get(arc.conic_class)
     if closed_form is not None:
         others.append(("closed_form", closed_form(arc)))
     table = ["method,value,rel_gap_vs_quadrature", f"quadrature,{fmt(c)},"]
@@ -159,7 +167,8 @@ def main(argv: list[str] | None = None) -> int:
     except InfeasibleSagitta as exc:
         print(f"conicarcs: infeasible: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, QuadratureNonConvergence) as exc:
+    # MemoryError: numpy refuses the arrays of a huge --n or --samples
+    except (ValueError, MemoryError, QuadratureNonConvergence) as exc:
         print(f"conicarcs: error: {exc}", file=sys.stderr)
         return 1
 

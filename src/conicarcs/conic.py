@@ -31,7 +31,7 @@ from typing import TYPE_CHECKING, NamedTuple
 from .errors import ConicError, InfeasibleSagitta
 from .textfmt import fmt
 
-if TYPE_CHECKING:  # imported where used, so that `import conicarcs` loads no numpy
+if TYPE_CHECKING:  # imported where used: construct_arc and every length run without numpy
     import numpy as np
 
 __all__ = [

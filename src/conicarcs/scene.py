@@ -24,7 +24,7 @@ from .homothety import (
 )
 from .textfmt import fmt
 
-if TYPE_CHECKING:  # imported where used, so that `import conicarcs` loads no numpy
+if TYPE_CHECKING:  # imported where used, so that importing this module loads no numpy
     import numpy as np
 
 __all__ = ["Scene", "build_scene", "scene_to_json", "scene_to_svg"]

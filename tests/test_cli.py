@@ -283,6 +283,22 @@ def test_scene_legs_at_both_float_range_ends_exit_1(capsys, legs, k):
     assert err.startswith("conicarcs: error: ") and "Traceback" not in err
 
 
+# a huge --n or --samples makes numpy refuse the allocation with a MemoryError,
+# which is not a ValueError; patched here, so that no test asks for the memory
+@pytest.mark.parametrize("module, name, argv", [
+    ("arclength", "polyline_length", ("oracle", "--l", "1", "--f", "0.1", "--e", "1")),
+    ("scene", "sample_points", ("scene", "--leg2", "4", "--leg3", "3", "--e", "1", "--k", "8")),
+], ids=["oracle", "scene"])
+def test_memory_error_exit_1(capsys, monkeypatch, module, name, argv):
+    message = "Unable to allocate 745. GiB for an array"
+
+    def refuse(*args):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(f"conicarcs.{module}.{name}", refuse)
+    assert run(capsys, *argv) == (1, "", f"conicarcs: error: {message}\n")
+
+
 def test_empty_list_flag_exit_1(capsys):
     code, out, err = run(capsys, "centre", "--leg2", "4", "--leg3", "3", "--k-list", ",")
     assert (code, out) == (1, "")

@@ -1,4 +1,6 @@
-"""What the package root exports, and its result records; numpy loads when needed, scipy never."""
+"""What the package root exports, what each command loads, and the result records.
+
+numpy loads when needed, scipy never."""
 
 import os
 import subprocess
@@ -32,6 +34,18 @@ for line in sys.argv[1:]:
     report(rc)
 """
 
+# Runs the code in place of {} in a fresh interpreter; report(rc) prints rc and
+# the conicarcs submodules loaded at that point, without their package prefix.
+LOADED = """
+import contextlib, io, sys
+
+def report(rc):
+    print(rc, *sorted(m.removeprefix("conicarcs.") for m in sys.modules
+                      if m.startswith("conicarcs.")))
+
+{}
+"""
+
 # (command line, exit code, modules loaded after it); each runs after the ones before.
 # Lengths come from the pure-Python QUADPACK port, so no command loads scipy.
 STEPS = [
@@ -46,11 +60,15 @@ STEPS = [
 ]
 
 
-def test_cli_loads_numpy_and_scipy_only_when_needed():
+def _run(code, *argv):
+    """Standard output of a fresh interpreter that runs code with src/ on its path."""
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
-    out = subprocess.run([sys.executable, "-c", PROBE, *(line for line, _, _ in STEPS)],
-                         env=dict(os.environ, PYTHONPATH=path), capture_output=True,
-                         text=True, check=True).stdout
+    return subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path), check=True).stdout
+
+
+def test_cli_loads_numpy_and_scipy_only_when_needed():
+    out = _run(PROBE, *(line for line, _, _ in STEPS))
     got = [line.split(" ") for line in out.splitlines()]
     # conicarcs loads neither dataclasses nor inspect; numpy may import inspect itself
     assert all("inspect" not in loaded or "numpy" in loaded for _, loaded in got)
@@ -75,9 +93,50 @@ ROOT_NAMES = {
 
 
 def test_package_root_exports_what_callers_use():
-    public = {name for name, value in vars(conicarcs).items()
-              if not name.startswith("_") and not isinstance(value, types.ModuleType)}
-    assert public == ROOT_NAMES and len(ROOT_NAMES) == 31
+    public = {name for name in dir(conicarcs)
+              if not name.startswith("_") and not isinstance(getattr(conicarcs, name),
+                                                               types.ModuleType)}
+    assert set(conicarcs.__all__) == public == ROOT_NAMES and len(ROOT_NAMES) == 31
+    for name in ROOT_NAMES:
+        value = getattr(conicarcs, name)
+        assert value is getattr(sys.modules[value.__module__], name)
+        assert value.__module__.startswith("conicarcs.")
+    with pytest.raises(AttributeError, match="has no attribute 'polyline_length'"):
+        conicarcs.polyline_length  # noqa: B018  # an independent check, not a root name
+
+
+def test_package_root_loads_no_submodule():
+    out = _run(LOADED.format("import conicarcs\nreport('-')\n"
+                             "from conicarcs import homothety\nreport('-')"))
+    # perfbench imports modules through the root: `from conicarcs import homothety`
+    assert out.splitlines() == ["-", "- errors homothety textfmt"]
+
+
+# Each command in its own fresh interpreter: the conicarcs submodules that it
+# loads besides the CLI's own cli, errors and textfmt.
+COMMAND_LOADS = [
+    ("construct --l 1 --f 0.25 --e 0.5", 0, "conic"),
+    ("centre --leg2 4 --leg3 3", 0, "homothety"),
+    ("arclen --l 1 --f 0.9 --e 2", 3, "arclength conic"),  # infeasible: no quadrature
+    ("arclen --l 1 --f 0.125 --e 1", 0, "arclength conic quadpack"),
+    ("verify --leg2 4 --leg3 3 --e 0.5 --k 8", 0, "arclength conic homothety quadpack triples"),
+    ("sweep --leg2 3 --leg3 4 --e-list 0,1,2 --k-list 4,8", 0,
+     "arclength conic homothety quadpack triples"),
+    ("oracle --l 1 --f 0.125 --e 1 --n 64", 0, "arclength conic quadpack"),
+    ("scene --leg2 4 --leg3 3 --e 1 --k 8", 0, "conic homothety scene"),
+]
+
+
+@pytest.mark.parametrize("line, rc, loaded", COMMAND_LOADS,
+                         ids=[f"{line.split()[0]}-exit{rc}" for line, rc, _ in COMMAND_LOADS])
+def test_each_command_loads_only_what_it_runs(line, rc, loaded):
+    code = LOADED.format("from conicarcs.cli import main\n"
+                         "with contextlib.redirect_stdout(io.StringIO()), "
+                         "contextlib.redirect_stderr(io.StringIO()):\n"
+                         "    rc = main(sys.argv[1:])\n"
+                         "report(rc)")
+    expected = [str(rc), *sorted(f"cli errors textfmt {loaded}".split())]
+    assert _run(code, *line.split()).split() == expected
 
 
 # Result records are named tuples: positional and keyword construction, tuple
