@@ -16,4 +16,5 @@ class InfeasibleSagitta(ConicError):
 
 
 class QuadratureNonConvergence(RuntimeError):
-    """Error estimate still above tolerance after the subdivision budget."""
+    """Error estimate still above tolerance after the subdivision budget, or the
+    integrand's pole, 1 + e cos(theta) = 0, met at a quadrature node."""

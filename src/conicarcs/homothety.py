@@ -13,6 +13,8 @@ Every quantity here is rational in the float coordinates and k.  Each is
 computed in integers, from the exact values ``float.as_integer_ratio`` gives,
 and rounded once by an ``int / int`` quotient: correctly rounded, subnormals
 included, and an ``OverflowError`` only where the value is beyond the float range.
+A triangle's exact form, its integer vertices and twice its signed area, is
+computed once, when the triangle is built, and kept on it.
 """
 
 from __future__ import annotations
@@ -62,20 +64,6 @@ class Point(_XY):
         return Point(self.x - other.x, self.y - other.y)
 
 
-def _exact(points) -> tuple[list[int], int]:
-    """The coordinates ``[x1, y1, x2, y2, ...]`` of ``points`` as integers over one
-    power of two d: each coordinate is exactly its integer / d."""
-    pairs = [c.as_integer_ratio() for p in points for c in p]
-    d = max(den for _, den in pairs)
-    return [n * (d // den) for n, den in pairs], d
-
-
-def _area2(v: list[int]) -> int:
-    """(P2 - P1) x (P3 - P1) of the integer vertices: twice the signed area, times d^2."""
-    x1, y1, x2, y2, x3, y3 = v
-    return (x2 - x1) * (y3 - y1) - (y2 - y1) * (x3 - x1)
-
-
 def _dist(a: Point, b: Point) -> float:
     return math.hypot(a.x - b.x, a.y - b.y)
 
@@ -96,22 +84,30 @@ class PlanarTriangle(_Vertices):
     """Embedded triangle: side P2P3 of length l1 (the paper's hypotenuse, opposite
     the right angle at P1), P1P2 of length l2 and P3P1 of length l3.
 
-    The named tuple ``(p1, p2, p3)`` of its vertices, which must not be collinear
-    (decided exactly), with three sides that floats can hold.  The side lengths
-    l1, l2, l3 are derived from the vertices and kept as attributes.
+    The named tuple ``(p1, p2, p3)`` of its vertices, each made a ``Point``, which
+    must not be collinear (decided exactly), with three sides that floats can hold.
+    The side lengths l1, l2, l3 are derived from the vertices and kept as
+    attributes, beside the exact form every homothety output is computed from: the
+    coordinates as the integers ``_v`` over one power of two ``_d``, and
+    ``_area2``, twice the signed area times ``_d``^2 (positive if counter-clockwise).
     """
 
     __setattr__ = __delattr__ = _refuse_change
 
     def __new__(cls, p1: Point, p2: Point, p3: Point) -> PlanarTriangle:
-        if _area2(_exact((p1, p2, p3))[0]) == 0:
+        p1, p2, p3 = Point(*p1), Point(*p2), Point(*p3)  # a non-finite coordinate: ConicError
+        pairs = [c.as_integer_ratio() for p in (p1, p2, p3) for c in p]
+        d = max(den for _, den in pairs)
+        v = x1, y1, x2, y2, x3, y3 = tuple(n * (d // den) for n, den in pairs)
+        area2 = (x2 - x1) * (y3 - y1) - (y2 - y1) * (x3 - x1)  # (P2 - P1) x (P3 - P1)
+        if area2 == 0:
             raise ConicError("triangle vertices must not be collinear")
         l1, l2, l3 = _dist(p2, p3), _dist(p1, p2), _dist(p1, p3)
         if math.inf in (l1, l2, l3):
             raise ConicError(f"triangle side is out of the float range: "
                              f"l1={fmt(l1)}, l2={fmt(l2)}, l3={fmt(l3)}")
         tri = tuple.__new__(cls, (p1, p2, p3))
-        vars(tri).update(l1=l1, l2=l2, l3=l3)
+        vars(tri).update(l1=l1, l2=l2, l3=l3, _v=v, _d=d, _area2=area2)
         return tri
 
     @classmethod
@@ -133,17 +129,17 @@ def altitude_from_right_angle(tri: PlanarTriangle) -> tuple[Point, float]:
     """Foot P2 + t (P3 - P2), t = (P1 - P2).(P3 - P2) / l1^2, of the altitude from P1 onto
     side P2P3, and its length |cross| / l1 for the stored l1; each coordinate and the
     length rounded once from its exact value."""
-    v, d = _exact(tri)
-    x1, y1, x2, y2, x3, y3 = v
+    x1, y1, x2, y2, x3, y3 = tri._v
+    d = tri._d
     dx, dy = x3 - x2, y3 - y2
     m = dx * dx + dy * dy
     n = (x1 - x2) * dx + (y1 - y2) * dy
     l1n, l1d = tri.l1.as_integer_ratio()
     foot = Point((x2 * m + n * dx) / (d * m), (y2 * m + n * dy) / (d * m))
-    return foot, abs(_area2(v)) * l1d / (d * d * l1n)
+    return foot, abs(tri._area2) * l1d / (d * d * l1n)
 
 
-def _symmedian(v: list[int]) -> tuple[int, int, int]:
+def _symmedian(v: tuple[int, ...]) -> tuple[int, int, int]:
     """K = (l1^2 P1 + l3^2 P2 + l2^2 P3) / s, s = l1^2 + l2^2 + l3^2, of the integer
     vertices: its numerators and s, each square in units of 1/d^2 (so K is over d s)."""
     x1, y1, x2, y2, x3, y3 = v
@@ -156,14 +152,8 @@ def _symmedian(v: list[int]) -> tuple[int, int, int]:
 def pythagorean_centre(tri: PlanarTriangle) -> Point:
     """The symmedian point, the homothety centre for every k; for a right triangle the
     midpoint of the altitude from the right angle (the paper's Pythagorean centre)."""
-    v, d = _exact(tri)
-    cx, cy, s = _symmedian(v)
-    return Point(cx / (d * s), cy / (d * s))
-
-
-def _orientation(tri: PlanarTriangle) -> float:
-    """+1.0 if P1, P2, P3 run counter-clockwise, -1.0 if clockwise."""
-    return 1.0 if _area2(_exact(tri)[0]) > 0 else -1.0
+    cx, cy, s = _symmedian(tri._v)
+    return Point(cx / (tri._d * s), cy / (tri._d * s))
 
 
 def _sides(tri: PlanarTriangle) -> tuple[tuple[Point, Point, float], ...]:
@@ -188,10 +178,9 @@ def enveloping_triangle(tri: PlanarTriangle, k: float) -> PlanarTriangle:
     the rounded vertices are collinear.
     """
     k = _check_k(k)
-    v, d = _exact(tri)
-    x1, y1, x2, y2, x3, y3 = v
+    x1, y1, x2, y2, x3, y3 = tri._v
     kn, kd = k.as_integer_ratio()
-    push = kd if _area2(v) > 0 else -kd  # outward: to the right of a counter-clockwise side
+    push = kd if tri._area2 > 0 else -kd  # outward: to the right of a counter-clockwise side
     # side a->b, pushed by b - a turned a quarter and divided by k, is the line
     # -dy X + dx Y + (a x (dx, dy)) + |(dx, dy)|^2 / k = 0 (here times kn)
     sides = []
@@ -202,19 +191,19 @@ def enveloping_triangle(tri: PlanarTriangle, k: float) -> PlanarTriangle:
     try:
         vertices = []
         for (a1, b1, c1), (a2, b2, c2) in ((side3, side2), (side2, side1), (side1, side3)):
-            w = (a1 * b2 - b1 * a2) * d  # two lines meet at their cross product
-            vertices.append(Point((b1 * c2 - c1 * b2) / w, (c1 * a2 - a1 * c2) / w))
+            w = (a1 * b2 - b1 * a2) * tri._d  # two lines meet at their cross product
+            vertices.append(((b1 * c2 - c1 * b2) / w, (c1 * a2 - a1 * c2) / w))
         return PlanarTriangle(*vertices)
     except (OverflowError, ConicError):
         raise ConicError(f"envelope vertex or side is out of the float range, or its vertices "
                          f"round onto one line, for k={fmt(k)}") from None
 
 
-def _scale(tri: PlanarTriangle, v: list[int], s: int, k: float) -> tuple[float, int, int]:
+def _scale(tri: PlanarTriangle, s: int, k: float) -> tuple[float, int, int]:
     """The ratio 1 + s / (k |cross|), s = l1^2 + l2^2 + l3^2: rounded once, and as its exact
     (numerator, denominator).  Raises ``ConicError`` beyond the float range."""
     kn, kd = k.as_integer_ratio()
-    den = abs(_area2(v)) * kn
+    den = abs(tri._area2) * kn
     num = den + kd * s
     try:
         return num / den, num, den
@@ -230,8 +219,7 @@ def homothety_ratio(tri: PlanarTriangle, k: float) -> float:
 
     Raises ``ConicError`` when the ratio is out of the float range.
     """
-    v = _exact(tri)[0]
-    return _scale(tri, v, _symmedian(v)[2], _check_k(k))[0]
+    return _scale(tri, _symmedian(tri._v)[2], _check_k(k))[0]
 
 
 class HomothetyReport(NamedTuple):
@@ -252,18 +240,18 @@ def verify_homothety(tri: PlanarTriangle, k: float) -> HomothetyReport:
     Raises ``ConicError`` if the ratio or the envelope is out of the float range.
     """
     k = _check_k(k)
-    v, d = _exact(tri)
+    v, d = tri._v, tri._d
     cx, cy, s = _symmedian(v)  # K = (cx, cy) / (d s)
-    ratio, num, den = _scale(tri, v, s, k)
+    ratio, num, den = _scale(tri, s, k)
     env = enveloping_triangle(tri, k)
     # the image K + ratio (P - K) of P is (K (den - num) + num P) / den: over d s den
     scale = d * s * den
+    ev, ed = env._v, env._d  # the envelope's coordinates are ev / ed
 
-    def off(q: float, c: int, p: int) -> float:  # q minus the image coordinate, rounded once
-        qn, qd = q.as_integer_ratio()
-        return (qn * scale - (c * (den - num) + s * num * p) * qd) / (qd * scale)
+    def off(q: int, c: int, p: int) -> float:  # q / ed minus the image coordinate, rounded once
+        return (q * scale - (c * (den - num) + s * num * p) * ed) / (ed * scale)
 
-    max_deviation = max(math.hypot(off(q.x, cx, px), off(q.y, cy, py))
-                        for q, px, py in zip(env, v[0::2], v[1::2]))
+    max_deviation = max(math.hypot(off(qx, cx, px), off(qy, cy, py))
+                        for qx, qy, px, py in zip(ev[0::2], ev[1::2], v[0::2], v[1::2]))
     centre = Point(cx / (d * s), cy / (d * s))
     return HomothetyReport(centre, ratio, env, max_deviation)

@@ -15,7 +15,6 @@ from .conic import _check_feasible, construct_arc, sample_points
 from .homothety import (
     PlanarTriangle,
     Point,
-    _orientation,
     _refuse_change,
     _sides,
     altitude_from_right_angle,
@@ -104,7 +103,7 @@ def build_scene(tri: PlanarTriangle, e: float, k: float, samples: int) -> Scene:
     import numpy as np
 
     e, k = _check_feasible(e, k)  # rejects k <= 0 before any division
-    orient = _orientation(tri)
+    orient = 1.0 if tri._area2 > 0 else -1.0  # outward: to the right of a counter-clockwise side
     arcs = tuple(_arc_on_side(a, b, l, l / k, e, samples, orient) for a, b, l in _sides(tri))
     env = enveloping_triangle(tri, k)
     foot, _ = altitude_from_right_angle(tri)

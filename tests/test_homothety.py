@@ -225,6 +225,16 @@ def test_planar_triangle_make_and_replace_check_collinearity():
     assert (moved.l1, moved.l2, moved.l3) == (math.hypot(8.0, 3.0), 8.0, 3.0)
 
 
+def test_planar_triangle_makes_each_vertex_a_finite_point():
+    tri = PlanarTriangle((0.0, 0.0), (1.0, 0.0), (0.0, 1.0))
+    assert all(type(p) is Point for p in tri) and tri.l1 == math.hypot(1.0, 1.0)
+    for bad in [(math.inf, 0.0), (0.0, -math.inf), (math.nan, 0.0)]:
+        with pytest.raises(ConicError, match="must be finite"):
+            PlanarTriangle(bad, (1.0, 0.0), (0.0, 1.0))
+        with pytest.raises(ConicError, match="must be finite"):
+            tri._replace(p1=bad)
+
+
 def test_points_and_triangles_are_named_tuples():
     tri = place_triangle(4.0, 3.0)
     assert Point._fields == ("x", "y") and PlanarTriangle._fields == ("p1", "p2", "p3")
@@ -583,7 +593,7 @@ def test_turned_triangles_far_from_the_origin_get_their_envelopes():
 
 
 @pytest.mark.parametrize("decades", [6.0, 75.0])
-def test_altitude_foot_coordinates_to_a_few_eps(decades):
+def test_altitude_foot_coordinates_correctly_rounded(decades):
     """Each coordinate of the foot, (l2 l3^2, l2^2 l3) / s, is its exact value rounded
     once, also next to the vertex of the longer leg, where measuring from the far end
     of the hypotenuse in floats cancels every digit.  Legs are log-uniform in
@@ -596,7 +606,7 @@ def test_altitude_foot_coordinates_to_a_few_eps(decades):
         assert foot == (float(2 * cx), float(2 * cy)), (l2, l3)
 
 
-def test_altitude_foot_to_a_few_eps_for_legs_far_apart():
+def test_altitude_foot_correctly_rounded_for_legs_far_apart():
     """The check above for legs 1e150 to 1e300 apart, where t = l_short^2 / l1^2
     underflows as a float: the foot coordinate next to the far vertex,
     about l_short^2 / l_long, is still its exact value rounded once."""

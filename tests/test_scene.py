@@ -13,6 +13,8 @@ from pytest import approx
 
 from conicarcs import (
     InfeasibleSagitta,
+    PlanarTriangle,
+    Point,
     Scene,
     build_scene,
     construct_arc,
@@ -28,6 +30,10 @@ from conicarcs.textfmt import fmt
 @pytest.fixture()
 def tri():
     return place_triangle(4.0, 3.0)
+
+
+# place_triangle's vertices run counter-clockwise; these run clockwise
+CLOCKWISE = PlanarTriangle(Point(0.0, 0.0), Point(0.0, 3.0), Point(4.0, 0.0))
 
 
 def line_distance(p, a, b):
@@ -46,15 +52,16 @@ def test_scene_layer_shapes(tri):
 
 
 def test_arc_endpoints_meet_vertices(tri):
-    scene = build_scene(tri, 1.0, 8.0, 16)
-    vertices = {
-        0: (scene.triangle[1], scene.triangle[2]),  # hypotenuse arc: P2 -> P3
-        1: (scene.triangle[0], scene.triangle[1]),
-        2: (scene.triangle[2], scene.triangle[0]),
-    }
-    for i, (start, end) in vertices.items():
-        assert np.linalg.norm(scene.arcs[i][0] - start) < 1e-10 * tri.l1
-        assert np.linalg.norm(scene.arcs[i][-1] - end) < 1e-10 * tri.l1
+    for t in (tri, CLOCKWISE):
+        scene = build_scene(t, 1.0, 8.0, 16)
+        vertices = {
+            0: (scene.triangle[1], scene.triangle[2]),  # hypotenuse arc: P2 -> P3
+            1: (scene.triangle[0], scene.triangle[1]),
+            2: (scene.triangle[2], scene.triangle[0]),
+        }
+        for i, (start, end) in vertices.items():
+            assert np.linalg.norm(scene.arcs[i][0] - start) < 1e-10 * t.l1
+            assert np.linalg.norm(scene.arcs[i][-1] - end) < 1e-10 * t.l1
 
 
 def test_arc_apexes_on_envelope_sides(tri):
@@ -73,14 +80,15 @@ def test_arc_apexes_on_envelope_sides(tri):
 
 
 def test_arcs_bulge_outward(tri):
-    scene = build_scene(tri, 0.5, 4.0, 32)
-    tri_sides = [(scene.triangle[1], scene.triangle[2], scene.triangle[0]),
-                 (scene.triangle[0], scene.triangle[1], scene.triangle[2]),
-                 (scene.triangle[2], scene.triangle[0], scene.triangle[1])]
-    for i, (a, b, interior) in enumerate(tri_sides):
-        cross = lambda p: (b[0] - a[0]) * (p[1] - a[1]) - (b[1] - a[1]) * (p[0] - a[0])
-        apex = scene.arcs[i][16]
-        assert cross(apex) * cross(interior) < 0.0
+    for t in (tri, CLOCKWISE):
+        scene = build_scene(t, 0.5, 4.0, 32)
+        tri_sides = [(scene.triangle[1], scene.triangle[2], scene.triangle[0]),
+                     (scene.triangle[0], scene.triangle[1], scene.triangle[2]),
+                     (scene.triangle[2], scene.triangle[0], scene.triangle[1])]
+        for i, (a, b, interior) in enumerate(tri_sides):
+            cross = lambda p: (b[0] - a[0]) * (p[1] - a[1]) - (b[1] - a[1]) * (p[0] - a[0])
+            apex = scene.arcs[i][16]
+            assert cross(apex) * cross(interior) < 0.0
 
 
 def test_scene_centre_and_altitude(tri):
