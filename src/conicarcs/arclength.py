@@ -9,8 +9,8 @@ The primary route integrates the focus-centred polar form,
 so the chord length factors out completely: c = g(e, k) * l.  The integral
 has no elementary antiderivative in general, hence adaptive quadrature:
 QUADPACK's QAGS, ported to pure Python in ``quadpack`` bit for bit.  The
-circle and parabola do have elementary closed forms, kept here as independent
-oracles, together with a brute-force polyline length.
+circle and parabola do have elementary closed forms, kept in ``oracle`` as
+independent checks.
 """
 
 from __future__ import annotations
@@ -19,16 +19,13 @@ import functools
 import math
 from typing import NamedTuple
 
-from .conic import ConicArc, ConicClass, _check_feasible, construct_arc, sample_points
-from .errors import ConicError, QuadratureNonConvergence
+from .conic import ConicArc, _check_feasible, construct_arc
+from .errors import QuadratureNonConvergence
 from .textfmt import fmt
 
 __all__ = [
     "ArcLengthResult",
     "arc_length",
-    "closed_form_circle",
-    "closed_form_parabola",
-    "polyline_length",
     "g_factor",
 ]
 
@@ -80,39 +77,6 @@ def arc_length(arc: ConicArc) -> ArcLengthResult:
             f"{_MAX_SUBDIVISIONS} subdivisions (e={fmt(e)}, k={fmt(arc.k)})"
         )
     return ArcLengthResult(arc.p * value, arc.p * abserr, evaluations)
-
-
-def closed_form_circle(arc: ConicArc) -> float:
-    """Exact circular arc length 2 R asin(l / 2R) = 2 R beta."""
-    if arc.conic_class is not ConicClass.CIRCLE:
-        raise ConicError(f"expected a circle, got {arc.conic_class.value}")
-    R = arc.a
-    return 2.0 * R * math.asin(arc.l / (2.0 * R))
-
-
-def closed_form_parabola(arc: ConicArc) -> float:
-    """Exact parabolic arc length from the Cartesian sqrt(1 + y'^2) antiderivative.
-
-    For y = f (1 - 4 x^2 / l^2) over [-l/2, l/2] this reduces to
-    p * (u sqrt(1 + u^2) + asinh(u)) with u = 4/k.
-    """
-    if arc.conic_class is not ConicClass.PARABOLA:
-        raise ConicError(f"expected a parabola, got {arc.conic_class.value}")
-    u = 4.0 / arc.k
-    return arc.p * (u * math.sqrt(1.0 + u * u) + math.asinh(u))
-
-
-def polyline_length(arc: ConicArc, n: int) -> float:
-    """Length of the inscribed n-segment polyline through sample_points(arc, n).
-
-    Non-decreasing under subdivision doubling and converges to the true arc
-    length from below.
-    """
-    import numpy as np
-
-    pts = sample_points(arc, n)
-    seg = np.diff(pts, axis=0)
-    return float(np.hypot(seg[:, 0], seg[:, 1]).sum())
 
 
 def g_factor(e: float, k: float) -> float:

@@ -112,8 +112,9 @@ def _cmd_centre(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    from .arclength import arc_length, closed_form_circle, closed_form_parabola, polyline_length
+    from .arclength import arc_length
     from .conic import ConicClass, construct_arc
+    from .oracle import closed_form_circle, closed_form_parabola, polyline_length
 
     arc = construct_arc(args.l, args.f, args.e)
     c = arc_length(arc).length

@@ -41,7 +41,6 @@ __all__ = [
     "feasibility_min_k",
     "construct_arc",
     "sample_points",
-    "canonical_residual",
 ]
 
 
@@ -215,25 +214,3 @@ def sample_points(arc: ConicArc, n: int) -> np.ndarray:
     pts[1:-1, 1] = cos - arc.s
     pts[-1] = (arc.l / 2.0, 0.0)
     return pts
-
-
-def canonical_residual(arc: ConicArc, x: float, y: float) -> float:
-    """Dimensionless residual of the canonical conic equation at chord-frame (x, y).
-
-    Zero (to rounding) iff the point lies on the conic carrying the arc.  Used
-    as the construction oracle: maps the point into the canonical frame and
-    evaluates x^2/a^2 +- y^2/b^2 - 1, or the normalised parabola equation.
-    """
-    cls = arc.conic_class
-    if cls is ConicClass.PARABOLA:
-        # vertex at origin, opens towards the chord: Y^2 = 4 F X
-        X = arc.f - y
-        Y = x
-        return (Y * Y - 4.0 * arc.m * X) / (arc.l / 2.0) ** 2
-    if cls is ConicClass.HYPERBOLA:
-        X = arc.m - y
-        Y = x
-        return (X / arc.a) ** 2 - (Y / arc.b) ** 2 - 1.0
-    X = arc.m + y
-    Y = x
-    return (X / arc.a) ** 2 + (Y / arc.b) ** 2 - 1.0

@@ -1,9 +1,11 @@
-"""Triples of conic arcs on the sides of a right triangle.
+"""Triples of conic arcs on the sides of a triangle.
 
 For a fixed eccentricity e and side-to-sagitta ratio k, the arcs erected on
-the hypotenuse and the two legs have lengths c_i = g(e, k) * l_i, so they
-inherit the quadratic side relation: c1^2 = c2^2 + c3^2.  This module builds
-such triples, measures the identity's residual, and sweeps (e, k) grids.
+the three sides have lengths c_i = g(e, k) * l_i, so they inherit the law of
+cosines c1^2 = c2^2 + c3^2 - 2 c2 c3 cos A1, with A1 the angle at P1; for the
+paper's right triangle, the hypotenuse and two legs, c1^2 = c2^2 + c3^2.  This
+module builds such triples, measures the identity's residual, and sweeps
+(e, k) grids.
 """
 
 from __future__ import annotations
@@ -35,6 +37,9 @@ def make_right_triangle(l2: float, l3: float) -> PlanarTriangle:
 
 
 class ConicTriple(NamedTuple):
+    """The arcs of one (e, k) on sides l1, l2, l3, their lengths, and the residual
+    |1 - r2^2 - r3^2 + 2 r2 r3 cos A1| of the law of cosines, r_i = c_i / c1."""
+
     e: float
     k: float
     arcs: tuple[ConicArc, ConicArc, ConicArc]
@@ -42,11 +47,20 @@ class ConicTriple(NamedTuple):
     residual: float
 
 
-def _residual(c1: float, c2: float, c3: float) -> float:
-    # Ratios to the largest length c1 cannot overflow, and their squares only
-    # underflow where they are negligible next to 1; squaring c1 itself would.
+def _cos_a1(tri: PlanarTriangle) -> float:
+    """cos A1 = (P2 - P1).(P3 - P1) / (l2 l3), rounded once from the exact integer dot
+    product: exactly 0 for a right angle at P1."""
+    x1, y1, x2, y2, x3, y3 = tri._v
+    (n2, d2), (n3, d3) = tri.l2.as_integer_ratio(), tri.l3.as_integer_ratio()
+    return ((x2 - x1) * (x3 - x1) + (y2 - y1) * (y3 - y1)) * d2 * d3 / (tri._d ** 2 * n2 * n3)
+
+
+def _residual(c1: float, c2: float, c3: float, cos_a1: float) -> float:
+    # Ratios to c1, the largest length of a right triangle, cannot overflow there,
+    # and their squares only underflow where they are negligible next to 1;
+    # squaring c1 itself would.
     r2, r3 = c2 / c1, c3 / c1
-    return abs(1.0 - r2 * r2 - r3 * r3)
+    return abs(1.0 - r2 * r2 - r3 * r3 + 2.0 * r2 * r3 * cos_a1)
 
 
 def conic_triple(tri: PlanarTriangle, e: float, k: float) -> ConicTriple:
@@ -58,7 +72,7 @@ def conic_triple(tri: PlanarTriangle, e: float, k: float) -> ConicTriple:
     e, k = _check_feasible(e, k)  # rejects k <= 0 before any division
     arcs = tuple(construct_arc(l, l / k, e) for l in (tri.l1, tri.l2, tri.l3))
     lengths = tuple(arc_length(a).length for a in arcs)
-    return ConicTriple(e, k, arcs, lengths, _residual(*lengths))
+    return ConicTriple(e, k, arcs, lengths, _residual(*lengths, _cos_a1(tri)))
 
 
 class SweepRow(NamedTuple):

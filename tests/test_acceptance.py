@@ -22,7 +22,7 @@ from conicarcs import (
     pythagorean_centre,
     verify_homothety,
 )
-from conicarcs.arclength import closed_form_circle, closed_form_parabola, polyline_length
+from conicarcs.oracle import closed_form_circle, closed_form_parabola, polyline_length
 from conicarcs.cli import main
 
 GRID_E = [0.0, 0.3, 0.7, 1.0, 1.5, 3.0]

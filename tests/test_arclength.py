@@ -1,10 +1,8 @@
 """Quadrature vs closed forms, brute-force polylines, and the g(e, k) factor."""
 
-import importlib.util
 import math
 import random
 import re
-from pathlib import Path
 
 import pytest
 from pytest import approx
@@ -22,7 +20,7 @@ from conicarcs import (
     g_factor,
     make_right_triangle,
 )
-from conicarcs.arclength import closed_form_circle, closed_form_parabola, polyline_length
+from conicarcs.oracle import closed_form_circle, closed_form_parabola, polyline_length
 from conicarcs.textfmt import fmt
 
 GRID_E = [0.0, 0.3, 0.7, 1.0, 1.5, 3.0]
@@ -304,41 +302,3 @@ def test_qagse_matches_scipy_quad(e, k_over_min):
     beta = construct_arc(1.0, 1.0 / k, e).beta
     expected = scipy_quad_outcome(e, beta)
     assert repr(qags(e, beta, 1e-12, 60)) == repr(expected)
-
-
-def load_mpmath_oracle():
-    """perfbench's 40-digit mpmath reference for g(e, k), loaded from its file."""
-    pytest.importorskip("mpmath")
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "oracle.py"
-    spec = importlib.util.spec_from_file_location("perfbench_oracle", path)
-    oracle = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(oracle)
-    oracle.load()
-    return oracle
-
-
-def test_lengths_against_mpmath_reference():
-    """60 seeded arcs, 15 per conic class, against a 40-digit reference: relative
-    error at most 3e-14 (1.06e-14 was the worst of 300 such arcs), and an error
-    estimate no smaller than the true error.  k runs from 1.1 k_min (0.1 for the
-    parabola) to 1e4.  The boundary layer closer to the limit (k/k_min - 1 < 0.1,
-    parabola k < 0.1) is left out: the kernel misses there today."""
-    oracle = load_mpmath_oracle()
-    mp = oracle.mp
-    rng = random.Random("mpmath lengths")
-    misses = []
-    for i in range(60):
-        e = (0.0, rng.uniform(0.0, 1.0), 1.0, 10.0 ** rng.uniform(0.0, 3.0))[i % 4]
-        lo = 0.1 if e == 1.0 else 1.1 * feasibility_min_k(e)
-        k = lo * (1e4 / lo) ** rng.random()
-        # f is a power of two and l = k f, so l / f == k exactly, as in perfbench/gen.py
-        f = 2.0 ** rng.randint(-4, 4)
-        l = k * f
-        res = arc_length(construct_arc(l, f, e))
-        with mp.workdps(oracle.PRIMARY_DPS):
-            truth = mp.mpf(l) * oracle.g_reference(e, k)
-            error = abs(mp.mpf(res.length) - truth)
-            rel = float(error / truth)
-        if rel > 3e-14 or res.error_estimate < error:
-            misses.append((e, k, rel, res.error_estimate, float(error)))
-    assert not misses

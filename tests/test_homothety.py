@@ -546,52 +546,6 @@ def test_lattice_triangle_homothety_exact(k, ratio, envelope):
     assert verify_homothety(tri, k)[:2] == ((3.0, 1.6744186046511629), float(ratio))
 
 
-def test_homothety_exact_for_triangles_of_every_shape():
-    """``check_exact`` on 2,000 seeded triangles of every shape: three vertices at
-    random angles and distances on a circle of radius 1e-300..1e300 about the origin,
-    or, for a quarter of them, of radius 1e-3..1e3 about a point up to 1e6 away;
-    k is log-uniform in 1e-3..1e8."""
-    rng = random.Random("exact homothety, triangles of every shape")
-    obtuse = reported = 0
-    for i in range(2000):
-        if i % 4:
-            ox = oy = 0.0
-            size = 10.0 ** rng.uniform(-300.0, 300.0)
-        else:
-            r, phi = 10.0 ** rng.uniform(0.0, 6.0), rng.uniform(0.0, 2.0 * math.pi)
-            ox, oy = r * math.cos(phi), r * math.sin(phi)
-            size = 10.0 ** rng.uniform(-3.0, 3.0)
-        pts = []
-        for _ in range(3):
-            turn, r = rng.uniform(0.0, 2.0 * math.pi), size * rng.uniform(0.1, 1.0)
-            pts.append(Point(ox + r * math.cos(turn), oy + r * math.sin(turn)))
-        tri = PlanarTriangle(*pts)
-        a, b, c = sorted((tri.l1, tri.l2, tri.l3))
-        obtuse += (a / c) ** 2 + (b / c) ** 2 < 1.0
-        reported += check_exact(tri, 10.0 ** rng.uniform(-3.0, 8.0))
-    assert min(obtuse, 2000 - obtuse) >= 500 and reported >= 1900, (obtuse, reported)
-
-
-def test_turned_triangles_far_from_the_origin_get_their_envelopes():
-    """A right triangle turned and moved away from the origin has rounded vertices, so
-    its angle at P1 is only nearly right; its envelope is still the exact one, rounded
-    once, and never refused.  The first case's rounded envelope is more than 1e-12
-    away from a right angle.  Then 1,580 seeded cases: legs log-uniform in 1e-3..10,
-    P1 up to 1e6 from the origin, k log-uniform in 0.1..1e3."""
-    cases = [((1e6, 1e6), (1e-3, 1e-3), 0.6, 8.0)]
-    rng = random.Random("turned triangles far from the origin")
-    for _ in range(1580):
-        r, phi = 10.0 ** rng.uniform(0.0, 6.0), rng.uniform(0.0, 2.0 * math.pi)
-        cases.append(((r * math.cos(phi), r * math.sin(phi)),
-                      (10.0 ** rng.uniform(-3.0, 1.0), 10.0 ** rng.uniform(-3.0, 1.0)),
-                      rng.uniform(0.0, 2.0 * math.pi), 10.0 ** rng.uniform(-1.0, 3.0)))
-    for (ox, oy), (l2, l3), turn, k in cases:
-        c, s = math.cos(turn), math.sin(turn)
-        tri = PlanarTriangle(Point(ox, oy), Point(ox + l2 * c, oy + l2 * s),
-                             Point(ox - l3 * s, oy + l3 * c))
-        assert check_exact(tri, k), (tri, k)
-
-
 @pytest.mark.parametrize("decades", [6.0, 75.0])
 def test_altitude_foot_coordinates_correctly_rounded(decades):
     """Each coordinate of the foot, (l2 l3^2, l2^2 l3) / s, is its exact value rounded

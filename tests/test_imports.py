@@ -79,7 +79,7 @@ def test_cli_loads_numpy_and_scipy_only_when_needed():
 
 
 # Checks that are not part of the workflow (closed forms, the polyline and the
-# canonical residual) are imported from their modules.
+# canonical residual) are imported from conicarcs.oracle.
 ROOT_NAMES = {
     "ArcLengthResult", "arc_length", "g_factor",
     "ConicArc", "ConicClass", "classify", "construct_arc", "feasibility_min_k", "sample_points",
@@ -122,7 +122,7 @@ COMMAND_LOADS = [
     ("verify --leg2 4 --leg3 3 --e 0.5 --k 8", 0, "arclength conic homothety quadpack triples"),
     ("sweep --leg2 3 --leg3 4 --e-list 0,1,2 --k-list 4,8", 0,
      "arclength conic homothety quadpack triples"),
-    ("oracle --l 1 --f 0.125 --e 1 --n 64", 0, "arclength conic quadpack"),
+    ("oracle --l 1 --f 0.125 --e 1 --n 64", 0, "arclength conic oracle quadpack"),
     ("scene --leg2 4 --leg3 3 --e 1 --k 8", 0, "conic homothety scene"),
 ]
 

@@ -109,13 +109,19 @@ def test_triple_sagittae_exactly_proportional():
 def test_residual_small(e, k):
     triple = conic_triple(make_right_triangle(3.0, 4.0), e, k)
     assert triple.residual < 1e-10
-    assert _residual(*triple.lengths) == triple.residual
+    assert _residual(*triple.lengths, 0.0) == triple.residual
 
 
 def test_residual_formula_sanity():
     triple = conic_triple(make_right_triangle(3.0, 4.0), 1.0, 8.0)
     c1, c2, _ = triple.lengths
-    assert _residual(c1, c2, 0.0) == approx(abs(c1 ** 2 - c2 ** 2) / c1 ** 2, rel=1e-15)
+    assert _residual(c1, c2, 0.0, 0.0) == approx(abs(c1 ** 2 - c2 ** 2) / c1 ** 2, rel=1e-15)
+
+
+def test_residual_is_the_law_of_cosines():  # |1 - r2^2 - r3^2| alone would read 1.44 here
+    tri = place_triangle(6.0, 4.0)._replace(p3=(3.0, 4.0))  # (0, 0), (6, 0), (3, 4)
+    for row in sweep(tri, [0.0, 0.5, 1.0, 2.0], [8.0]):
+        assert conic_triple(tri, row.e, row.k).residual == row.residual <= 2.0 ** -51
 
 
 @pytest.mark.parametrize("lam", [0.01, 100.0])
