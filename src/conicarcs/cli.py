@@ -168,7 +168,7 @@ def main(argv: list[str] | None = None) -> int:
     except InfeasibleSagitta as exc:
         print(f"conicarcs: infeasible: {exc}", file=sys.stderr)
         return 3
-    # MemoryError: numpy refuses the arrays of a huge --n or --samples
+    # MemoryError: numpy refuses the arrays of a huge --samples
     except (ValueError, MemoryError, QuadratureNonConvergence) as exc:
         print(f"conicarcs: error: {exc}", file=sys.stderr)
         return 1

@@ -1,15 +1,16 @@
 """Independent checks on arcs and their lengths.
 
 Closed-form lengths of the circle and the parabola, the brute-force polyline
-length, and the canonical conic equation at a point.  No library code calls
-them: the ``oracle`` command and the tests compare the library against them.
+length (pure Python, over one half of the arc), and the canonical conic
+equation at a point.  No library code calls them: the ``oracle`` command and
+the tests compare the library against them.
 """
 
 from __future__ import annotations
 
 import math
 
-from .conic import ConicArc, ConicClass, sample_points
+from .conic import ConicArc, ConicClass
 from .errors import ConicError
 
 __all__ = ["closed_form_circle", "closed_form_parabola", "polyline_length", "canonical_residual"]
@@ -36,16 +37,34 @@ def closed_form_parabola(arc: ConicArc) -> float:
 
 
 def polyline_length(arc: ConicArc, n: int) -> float:
-    """Length of the inscribed n-segment polyline through sample_points(arc, n).
+    """Length of the inscribed n-segment polyline through the polar angles
+    theta_i = beta (2i - n) / n, i = 0..n, whose ends are the chord's endpoints.
 
-    Non-decreasing under subdivision doubling and converges to the true arc
-    length from below.
+    Each point is computed as in ``sample_points``.  Negating 2i - n negates the
+    rounded angle, so the right half mirrors the left exactly: the segments up to
+    the axis are summed with ``math.fsum`` and doubled, in memory that does not
+    grow with n.  The nodes of n are among those of 2n, so the length never
+    decreases when n doubles, and it converges to the arc length from below.
     """
-    import numpy as np
+    if n < 2:
+        raise ConicError(f"need n >= 2 samples, got {n}")
+    beta, e, p, s = arc.beta, arc.e, arc.p, arc.s
+    if 1.0 + e * math.cos(beta * ((2 - n) / n)) == 0.0:  # of all nodes, the nearest a pole
+        raise ConicError(f"1 + e cos(theta) rounds to 0 at a polyline node for n={n}")
 
-    pts = sample_points(arc, n)
-    seg = np.diff(pts, axis=0)
-    return float(np.hypot(seg[:, 0], seg[:, 1]).sum())
+    def half():  # for odd n the last segment is the left half of the middle one
+        x0, y0 = -arc.l / 2.0, 0.0
+        for j in range(2 - n, 1, 2):  # 2i - n for i = 1 .. n // 2
+            theta = beta * (j / n)
+            cos = math.cos(theta)
+            r = p / (1.0 + e * cos)
+            x, y = r * math.sin(theta), cos * r - s
+            yield math.hypot(x - x0, y - y0)
+            x0, y0 = x, y
+        if n % 2:
+            yield -x0
+
+    return 2.0 * math.fsum(half())
 
 
 def canonical_residual(arc: ConicArc, x: float, y: float) -> float:

@@ -38,7 +38,7 @@ def make_right_triangle(l2: float, l3: float) -> PlanarTriangle:
 
 class ConicTriple(NamedTuple):
     """The arcs of one (e, k) on sides l1, l2, l3, their lengths, and the residual
-    |1 - r2^2 - r3^2 + 2 r2 r3 cos A1| of the law of cosines, r_i = c_i / c1."""
+    |r1^2 - r2^2 - r3^2 + 2 r2 r3 cos A1| of the law of cosines, r_i = c_i / max(c1, c2, c3)."""
 
     e: float
     k: float
@@ -56,11 +56,12 @@ def _cos_a1(tri: PlanarTriangle) -> float:
 
 
 def _residual(c1: float, c2: float, c3: float, cos_a1: float) -> float:
-    # Ratios to c1, the largest length of a right triangle, cannot overflow there,
-    # and their squares only underflow where they are negligible next to 1;
-    # squaring c1 itself would.
-    r2, r3 = c2 / c1, c3 / c1
-    return abs(1.0 - r2 * r2 - r3 * r3 + 2.0 * r2 * r3 * cos_a1)
+    # Ratios to the largest length are at most 1: squared, they cannot overflow, as
+    # a squared length could, and underflow only where negligible next to 1.  For
+    # a right triangle c1 is the largest, so r1 is exactly 1.
+    top = max(c1, c2, c3)
+    r1, r2, r3 = c1 / top, c2 / top, c3 / top
+    return abs(r1 * r1 - r2 * r2 - r3 * r3 + 2.0 * r2 * r3 * cos_a1)
 
 
 def conic_triple(tri: PlanarTriangle, e: float, k: float) -> ConicTriple:

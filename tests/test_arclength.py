@@ -19,6 +19,7 @@ from conicarcs import (
     feasibility_min_k,
     g_factor,
     make_right_triangle,
+    sample_points,
 )
 from conicarcs.oracle import closed_form_circle, closed_form_parabola, polyline_length
 from conicarcs.textfmt import fmt
@@ -133,12 +134,47 @@ def test_polyline_two_segments_near_semicircle():
 def test_polyline_monotone_and_below_arc(e, k):
     arc = construct_arc(1.0, 1.0 / k, e)
     c = arc_length(arc).length
-    prev = 0.0
-    for n in (2, 4, 8, 16, 32, 64):
-        length = polyline_length(arc, n)
-        assert length >= prev
-        assert length < c
-        prev = length
+    for n0 in (2, 3, 5):  # odd n too: the nodes of n are among those of 2n
+        prev = 0.0
+        for n in (n0 << i for i in range(6)):
+            length = polyline_length(arc, n)
+            assert length >= prev
+            assert length < c
+            prev = length
+
+
+def numpy_polyline(arc, n):  # reference: sample_points' n + 1 points, summed by numpy
+    import numpy as np
+
+    seg = np.diff(sample_points(arc, n), axis=0)
+    return float(np.hypot(seg[:, 0], seg[:, 1]).sum())
+
+
+def polyline_cases(rng, band):  # (e, k = l/f, n): n = 200000 for one arc of each class first
+    for i in range(160):
+        e = (0.0, rng.uniform(0.0, 1.0), 1.0, 1.0 + 10.0 ** rng.uniform(-8.0, 3.0))[i % 4]
+        k = feasibility_min_k(e) * (1.0 + 10.0 ** rng.uniform(-6.0, 3.0))
+        if band == "near-semicircle":
+            e, k = 0.0, 2.0 * (1.0 + 10.0 ** rng.uniform(-12.0, -3.0))
+        elif band == "thin-parabola" or e == 1.0:
+            e, k = 1.0, 10.0 ** rng.uniform(-6.0, -2.0 if band == "thin-parabola" else 4.0)
+        yield e, k, (200000 if i < 4 else (2, 3, 4, 7, 64, 1001)[i - 4] if i < 10
+                     else rng.randint(2, 3000))
+
+
+@pytest.mark.parametrize("band", ["every-class", "thin-parabola", "near-semicircle"])
+def test_polyline_matches_numpy_sum(band):
+    for e, k, n in polyline_cases(random.Random(band), band):
+        arc = construct_arc(k, 1.0, e)
+        want = numpy_polyline(arc, n)
+        assert abs(polyline_length(arc, n) - want) <= 1e-15 * want, (e, k, n)
+
+
+def test_polyline_names_a_node_on_the_pole():  # beta rounds to pi: l/f = 1e-16
+    arc = construct_arc(1e-16, 1.0, 1.0)
+    assert polyline_length(arc, 10**4) == approx(2.0, rel=1e-7)
+    with pytest.raises(ConicError, match="rounds to 0 at a polyline node for n=1000000000"):
+        polyline_length(arc, 10**9)  # the first node past -beta is within 1e-8 of pi
 
 
 def test_polyline_converges_to_quadrature():

@@ -283,8 +283,9 @@ def test_scene_legs_at_both_float_range_ends_exit_1(capsys, legs, k):
     assert err.startswith("conicarcs: error: ") and "Traceback" not in err
 
 
-# a huge --n or --samples makes numpy refuse the allocation with a MemoryError,
-# which is not a ValueError; patched here, so that no test asks for the memory
+# a MemoryError, which is not a ValueError, exits 1 from any command; only a huge
+# --samples can still make numpy refuse an allocation.  Patched here, so that no
+# test asks for the memory
 @pytest.mark.parametrize("module, name, argv", [
     ("oracle", "polyline_length", ("oracle", "--l", "1", "--f", "0.1", "--e", "1")),
     ("scene", "sample_points", ("scene", "--leg2", "4", "--leg3", "3", "--e", "1", "--k", "8")),

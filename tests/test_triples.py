@@ -10,6 +10,7 @@ from pytest import approx
 from conicarcs import (
     ConicError,
     InfeasibleSagitta,
+    PlanarTriangle,
     arc_length,
     build_scene,
     conic_triple,
@@ -122,6 +123,14 @@ def test_residual_is_the_law_of_cosines():  # |1 - r2^2 - r3^2| alone would read
     tri = place_triangle(6.0, 4.0)._replace(p3=(3.0, 4.0))  # (0, 0), (6, 0), (3, 4)
     for row in sweep(tri, [0.0, 0.5, 1.0, 2.0], [8.0]):
         assert conic_triple(tri, row.e, row.k).residual == row.residual <= 2.0 ** -51
+
+
+def test_residual_of_a_needle_is_finite():  # c2 / c1 = 1e170 would square to inf
+    tri = PlanarTriangle((0, 0), (1, 0), (1, 1e-170))
+    triple = conic_triple(tri, 0.5, 8.0)
+    assert triple.lengths[0] < 1e-169 and triple.residual <= 2.0 ** -51
+    row = sweep_csv(sweep(tri, [0.5], [8.0])).splitlines()[1].split(",")
+    assert row[6] == fmt(triple.residual) and "nan" not in row
 
 
 @pytest.mark.parametrize("lam", [0.01, 100.0])
