@@ -2,16 +2,24 @@
 
 Arcs are sampled in their chord frame and mapped onto each side so they bulge
 outward.  The centre is the symmedian point: for a right triangle, the midpoint of
-the altitude.  Scenes serialize to JSON (named layers with point arrays) and to
-stroke-only SVG in a fixed element order, so identical input gives identical bytes.
+the altitude.  Each layer is a flat tuple of floats ``(x0, y0, x1, y1, ...)``
+holding no -0.0.  Scenes serialize to JSON (named layers with point arrays) and
+to stroke-only SVG in a fixed element order, so identical input gives identical
+bytes.
+
+An arc of at most ``_MATH_SAMPLES`` samples is built with ``math`` alone, so a
+scene of the default size loads no numpy; a larger one goes through numpy's
+``sample_points``, which is faster there.  Both give the same floats bit for bit.
 """
 
 from __future__ import annotations
 
+import math
 from functools import cached_property
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
-from .conic import _check_feasible, construct_arc, sample_points
+from .conic import ConicArc, _check_feasible, construct_arc, sample_points
+from .errors import ConicError
 from .homothety import (
     PlanarTriangle,
     Point,
@@ -23,26 +31,32 @@ from .homothety import (
 )
 from .textfmt import fmt
 
-if TYPE_CHECKING:  # imported where used, so that importing this module loads no numpy
-    import numpy as np
-
 __all__ = ["Scene", "build_scene", "scene_to_json", "scene_to_svg"]
+
+# Samples per arc up to which the pure-``math`` builder runs.  In one process
+# with numpy loaded, the two builders took equal time at about 64 samples, and
+# numpy's was 1.2-1.3x faster at 80-96; a cold scene pays numpy's import besides.
+_MATH_SAMPLES = 64
+
+Layer = tuple[float, ...]  # (x0, y0, x1, y1, ...)
+Box = tuple[float, float, float, float]  # (min x, min y, max x, max y)
 
 
 class _Layers(NamedTuple):
-    triangle: np.ndarray
-    arcs: tuple[np.ndarray, np.ndarray, np.ndarray]
-    envelope: np.ndarray
-    altitude: np.ndarray
-    centre: np.ndarray
+    triangle: Layer
+    arcs: tuple[Layer, Layer, Layer]
+    envelope: Layer
+    altitude: Layer
+    centre: Layer
 
 
 class Scene(_Layers):
-    """The named tuple of a drawing's point arrays; ``==`` compares them by value."""
+    """The named tuple of a drawing's layers, each a flat tuple of floats; ``==``
+    and ``hash`` are a tuple's."""
 
     __setattr__ = __delattr__ = _refuse_change
 
-    def layers(self) -> list[tuple[str, np.ndarray]]:
+    def layers(self) -> list[tuple[str, Layer]]:
         """Layer name/points pairs in the fixed emission order."""
         return [
             ("triangle", self.triangle),
@@ -51,20 +65,17 @@ class Scene(_Layers):
             ("arc3", self.arcs[2]),
             ("envelope", self.envelope),
             ("altitude", self.altitude),
-            ("centre", self.centre.reshape(1, 2)),
+            ("centre", self.centre),
         ]
 
-    def __eq__(self, other) -> bool:
-        """Equal when every layer holds the same shape and values; never equal to
-        another tuple, whose own ``==`` would ask numpy for an array's truth value."""
-        if not isinstance(other, Scene):
-            return False if isinstance(other, tuple) else NotImplemented
-        import numpy as np
+    @cached_property
+    def bounds(self) -> Box:
+        """The extremes of every layer's x and y.
 
-        return all(np.array_equal(a, b) for (_, a), (_, b) in zip(self.layers(), other.layers()))
-
-    def __ne__(self, other) -> bool:  # tuple's own != would compare the arrays
-        return not self == other
+        ``build_scene`` fills it from each arc builder's own extremes, so a
+        large arc is never scanned here.  Not a field, like ``rows``.
+        """
+        return _extremes([v for _, pts in self.layers() for v in pts])
 
     @cached_property
     def rows(self) -> tuple[str, ...]:
@@ -76,46 +87,82 @@ class Scene(_Layers):
         return tuple(fmt_rows(pts) for _, pts in self.layers())
 
 
-def fmt_rows(pts: np.ndarray) -> str:
-    """Every (x, y) row of ``pts`` as ``"x y\\n"``, each number as ``fmt`` prints it.
+def fmt_rows(pts: Layer) -> str:
+    """Every (x, y) pair of a layer as ``"x y\\n"``, each number as ``fmt`` prints it.
 
-    ``%.17g`` prints a float exactly as ``fmt`` does; the whole array goes
-    through one ``%`` instead of a call per number.
+    ``%.17g`` prints a float exactly as ``fmt`` does, but for -0.0, which
+    ``fmt`` folds into 0.0 and a built layer no longer holds; the whole layer
+    goes through one ``%`` instead of a call per number.
     """
-    flat = (pts + 0.0).ravel().tolist()  # +0.0 folds -0.0 into 0.0, as in fmt
-    return "%.17g %.17g\n" * len(pts) % tuple(flat)
+    return "%.17g %.17g\n" * (len(pts) // 2) % pts
 
 
-def _arc_on_side(a: Point, b: Point, length: float, sagitta: float, e: float,
-                 samples: int, orient: float) -> np.ndarray:
+def _extremes(flat) -> Box:
+    xs, ys = flat[0::2], flat[1::2]
+    return min(xs), min(ys), max(xs), max(ys)
+
+
+def _frame(a: Point, b: Point, length: float, orient: float) -> tuple[float, ...]:
+    """Midpoint, unit tangent and outward normal of side ab, each as (x, y)."""
+    t0, t1 = (b.x - a.x) / length, (b.y - a.y) / length
+    return (a.x + b.x) / 2.0, (a.y + b.y) / 2.0, t0, t1, orient * t1, orient * -t0
+
+
+def _arc_math(arc: ConicArc, n: int, a: Point, b: Point, orient: float) -> tuple[Layer, Box]:
+    """The arc on side ab and its extremes, from ``math`` alone.
+
+    Each interior point takes ``sample_points``' steps (``np.linspace``'s
+    angles ``i*step - beta``, the middle one 0 for even n, then the polar form)
+    and ``_arc_numpy``'s map onto the side, so the floats are the same bit for
+    bit.  The ends are the side's vertices.
+    """
+    if n < 2:
+        raise ConicError(f"need n >= 2 samples, got {n}")
+    e, p, s, beta = arc.e, arc.p, arc.s, arc.beta
+    step = (beta + beta) / n
+    mx, my, t0, t1, n0, n1 = _frame(a, b, arc.l, orient)
+    flat = [a.x + 0.0, a.y + 0.0]
+    for i in range(1, n):
+        theta = 0.0 if i + i == n else i * step - beta
+        c = math.cos(theta)
+        r = p / (1.0 + e * c)
+        x, y = r * math.sin(theta), c * r - s
+        flat += mx + x * t0 + y * n0 + 0.0, my + x * t1 + y * n1 + 0.0
+    flat += b.x + 0.0, b.y + 0.0
+    return tuple(flat), _extremes(flat)
+
+
+def _arc_numpy(arc: ConicArc, n: int, a: Point, b: Point, orient: float) -> tuple[Layer, Box]:
+    """The arc on side ab and its extremes, from ``sample_points``' array; the
+    ends are the side's vertices."""
     import numpy as np
 
-    arc = construct_arc(length, sagitta, e)
-    pts = sample_points(arc, samples)
-    mid = np.array([(a.x + b.x) / 2.0, (a.y + b.y) / 2.0])
-    t = np.array([b.x - a.x, b.y - a.y]) / length
-    n = orient * np.array([t[1], -t[0]])
-    return mid + np.outer(pts[:, 0], t) + np.outer(pts[:, 1], n)
+    pts = sample_points(arc, n)
+    mx, my, t0, t1, n0, n1 = _frame(a, b, arc.l, orient)
+    pts = np.array([mx, my]) + np.outer(pts[:, 0], (t0, t1)) + np.outer(pts[:, 1], (n0, n1))
+    pts[0], pts[-1] = a, b  # the chord ends, mapped, can miss the vertices by an ulp
+    pts += 0.0  # folds -0.0 into 0.0, as fmt does
+    xs, ys = pts[:, 0], pts[:, 1]  # one column at a time: far faster than axis=0
+    return tuple(pts.ravel().tolist()), (float(xs.min()), float(ys.min()),
+                                         float(xs.max()), float(ys.max()))
 
 
 def build_scene(tri: PlanarTriangle, e: float, k: float, samples: int) -> Scene:
     """Assemble the full drawing for one (e, k) family on an embedded triangle."""
-    import numpy as np
-
     e, k = _check_feasible(e, k)  # rejects k <= 0 before any division
     orient = 1.0 if tri._area2 > 0 else -1.0  # outward: to the right of a counter-clockwise side
-    arcs = tuple(_arc_on_side(a, b, l, l / k, e, samples, orient) for a, b, l in _sides(tri))
+    build = _arc_math if samples <= _MATH_SAMPLES else _arc_numpy
+    arcs, boxes = zip(*(build(construct_arc(l, l / k, e), samples, a, b, orient)
+                        for a, b, l in _sides(tri)))
     env = enveloping_triangle(tri, k)
     foot, _ = altitude_from_right_angle(tri)
-    centre = pythagorean_centre(tri)
-    as_row = lambda p: [p.x, p.y]
-    return Scene(
-        triangle=np.array([as_row(tri.p1), as_row(tri.p2), as_row(tri.p3)]),
-        arcs=arcs,
-        envelope=np.array([as_row(env.p1), as_row(env.p2), as_row(env.p3)]),
-        altitude=np.array([as_row(tri.p1), as_row(foot)]),
-        centre=np.array(as_row(centre)),
-    )
+    flat = lambda *points: tuple(v + 0.0 for p in points for v in p)
+    scene = Scene(triangle=flat(*tri), arcs=arcs, envelope=flat(*env),
+                  altitude=flat(tri.p1, foot), centre=flat(pythagorean_centre(tri)))
+    # each arc's extremes stand in for its points: a box is two points of the arc's range
+    small = scene.triangle + scene.envelope + scene.altitude + scene.centre
+    vars(scene)["bounds"] = _extremes(small + sum(boxes, ()))
+    return scene
 
 
 def scene_to_json(scene: Scene) -> str:
@@ -133,23 +180,18 @@ def scene_to_svg(scene: Scene) -> str:
     SVG's y axis points down, so each path flips it with ``scale(1 -1)`` and
     keeps the JSON's coordinates; the viewBox is in the flipped frame.
     """
-    import numpy as np
-
-    all_pts = np.vstack([pts for _, pts in scene.layers()])
-    xs, ys = all_pts[:, 0], all_pts[:, 1]  # one column at a time: far faster than axis=0
-    lo = (xs.min(), ys.min())
-    hi = (xs.max(), ys.max())
-    pad = 0.05 * max(hi[0] - lo[0], hi[1] - lo[1])
-    width = hi[0] - lo[0] + 2.0 * pad
-    height = hi[1] - lo[1] + 2.0 * pad
-    view = f"{fmt(lo[0] - pad)} {fmt(-hi[1] - pad)} {fmt(width)} {fmt(height)}"
+    lo_x, lo_y, hi_x, hi_y = scene.bounds
+    pad = 0.05 * max(hi_x - lo_x, hi_y - lo_y)
+    width = hi_x - lo_x + 2.0 * pad
+    height = hi_y - lo_y + 2.0 * pad
+    view = f"{fmt(lo_x - pad)} {fmt(-hi_y - pad)} {fmt(width)} {fmt(height)}"
     stroke = 0.004 * max(width, height)
     tick = 0.02 * max(width, height)
 
     paths = []
     for (name, pts), rows in zip(scene.layers(), scene.rows):
         if name == "centre":
-            cx, cy = pts[0]
+            cx, cy = pts
             d = (f"M {fmt(cx - tick)} {fmt(cy + tick)} L {fmt(cx + tick)} {fmt(cy - tick)} "
                  f"M {fmt(cx - tick)} {fmt(cy - tick)} L {fmt(cx + tick)} {fmt(cy + tick)}")
         else:

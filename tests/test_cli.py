@@ -288,7 +288,8 @@ def test_scene_legs_at_both_float_range_ends_exit_1(capsys, legs, k):
 # test asks for the memory
 @pytest.mark.parametrize("module, name, argv", [
     ("oracle", "polyline_length", ("oracle", "--l", "1", "--f", "0.1", "--e", "1")),
-    ("scene", "sample_points", ("scene", "--leg2", "4", "--leg3", "3", "--e", "1", "--k", "8")),
+    ("scene", "sample_points",  # above the 64 samples that the pure-Python arcs take
+     ("scene", "--leg2", "4", "--leg3", "3", "--e", "1", "--k", "8", "--samples", "1024")),
 ], ids=["oracle", "scene"])
 def test_memory_error_exit_1(capsys, monkeypatch, module, name, argv):
     message = "Unable to allocate 745. GiB for an array"

@@ -1,6 +1,6 @@
 """What the package root exports, what each command loads, and the result records.
 
-numpy loads for `scene` alone, scipy never."""
+numpy loads only for a `scene` of more than 64 samples per arc, scipy never."""
 
 import os
 import subprocess
@@ -56,7 +56,8 @@ STEPS = [
     ("verify --leg2 4 --leg3 3 --e 0.5 --k 8", 0, ""),
     ("sweep --leg2 3 --leg3 4 --e-list 0,1,2 --k-list 4,8", 0, ""),
     ("oracle --l 1 --f 0.125 --e 1 --n 64", 0, ""),  # the polyline is pure Python too
-    ("scene --leg2 4 --leg3 3 --e 1 --k 8", 0, "numpy"),  # the only command that loads it
+    ("scene --leg2 4 --leg3 3 --e 1 --k 8", 0, ""),  # 64 samples: the arcs are pure Python
+    ("scene --leg2 4 --leg3 3 --e 1 --k 8 --samples 1024", 0, "numpy"),  # the only load
 ]
 
 

@@ -3,27 +3,33 @@
 import hashlib
 import json
 import math
+import random
 import re
 import warnings
 import xml.etree.ElementTree as ET
+from array import array
 
 import numpy as np
 import pytest
 from pytest import approx
 
 from conicarcs import (
+    ConicError,
     InfeasibleSagitta,
     PlanarTriangle,
     Point,
     Scene,
     build_scene,
     construct_arc,
+    feasibility_min_k,
     place_triangle,
     pythagorean_centre,
     scene_to_json,
     scene_to_svg,
 )
-from conicarcs.scene import fmt_rows
+from conicarcs import scene as scene_module
+from conicarcs.homothety import _sides
+from conicarcs.scene import _MATH_SAMPLES, _arc_math, _arc_numpy, fmt_rows
 from conicarcs.textfmt import fmt
 
 
@@ -36,6 +42,11 @@ def tri():
 CLOCKWISE = PlanarTriangle(Point(0.0, 0.0), Point(0.0, 3.0), Point(4.0, 0.0))
 
 
+def points(layer) -> list[tuple[float, float]]:
+    """The (x, y) pairs of a flat layer."""
+    return list(zip(layer[0::2], layer[1::2]))
+
+
 def line_distance(p, a, b):
     ax, ay = a
     bx, by = b
@@ -43,38 +54,37 @@ def line_distance(p, a, b):
 
 
 def test_scene_layer_shapes(tri):
-    scene = build_scene(tri, 1.0, 8.0, 64)
-    assert scene.triangle.shape == (3, 2)
-    assert all(a.shape == (65, 2) for a in scene.arcs)
-    assert scene.envelope.shape == (3, 2)
-    assert scene.altitude.shape == (2, 2)
-    assert scene.centre.shape == (2,)
+    for samples in (64, 1024):  # one per builder
+        scene = build_scene(tri, 1.0, 8.0, samples)
+        arc = 2 * samples + 2
+        assert [len(pts) for _, pts in scene.layers()] == [6, arc, arc, arc, 6, 4, 2]
+        assert all(type(pts) is tuple and all(type(v) is float for v in pts)
+                   for _, pts in scene.layers())
 
 
 def test_arc_endpoints_meet_vertices(tri):
-    for t in (tri, CLOCKWISE):
-        scene = build_scene(t, 1.0, 8.0, 16)
-        vertices = {
-            0: (scene.triangle[1], scene.triangle[2]),  # hypotenuse arc: P2 -> P3
-            1: (scene.triangle[0], scene.triangle[1]),
-            2: (scene.triangle[2], scene.triangle[0]),
-        }
-        for i, (start, end) in vertices.items():
-            assert np.linalg.norm(scene.arcs[i][0] - start) < 1e-10 * t.l1
-            assert np.linalg.norm(scene.arcs[i][-1] - end) < 1e-10 * t.l1
+    # the chord ends mapped through floats missed their vertex by up to ~1e-16 l1
+    rng = random.Random("endpoints")
+    seeded = [place_triangle(10.0 ** rng.uniform(-2, 2), 10.0 ** rng.uniform(-2, 2))
+              for _ in range(100)]
+    for t in (tri, CLOCKWISE, *seeded):
+        for samples in (16, 1024):  # one per builder
+            scene = build_scene(t, 1.0, 8.0, samples)
+            p1, p2, p3 = points(scene.triangle)
+            for arc, (start, end) in zip(scene.arcs, ((p2, p3), (p1, p2), (p3, p1))):
+                assert (points(arc)[0], points(arc)[-1]) == (start, end)
 
 
 def test_arc_apexes_on_envelope_sides(tri):
     k = 8.0
     scene = build_scene(tri, 1.0, k, 64)
-    env = scene.envelope
+    env, vertices = points(scene.envelope), points(scene.triangle)
     env_sides = [(env[1], env[2]), (env[0], env[1]), (env[2], env[0])]
-    tri_sides = [(scene.triangle[1], scene.triangle[2]),
-                 (scene.triangle[0], scene.triangle[1]),
-                 (scene.triangle[2], scene.triangle[0])]
+    tri_sides = [(vertices[1], vertices[2]), (vertices[0], vertices[1]),
+                 (vertices[2], vertices[0])]
     lengths = (tri.l1, tri.l2, tri.l3)
     for i in range(3):
-        apex = scene.arcs[i][32]
+        apex = points(scene.arcs[i])[32]
         assert line_distance(apex, *tri_sides[i]) == approx(lengths[i] / k, rel=1e-10)
         assert line_distance(apex, *env_sides[i]) < 1e-10 * tri.l1
 
@@ -82,12 +92,11 @@ def test_arc_apexes_on_envelope_sides(tri):
 def test_arcs_bulge_outward(tri):
     for t in (tri, CLOCKWISE):
         scene = build_scene(t, 0.5, 4.0, 32)
-        tri_sides = [(scene.triangle[1], scene.triangle[2], scene.triangle[0]),
-                     (scene.triangle[0], scene.triangle[1], scene.triangle[2]),
-                     (scene.triangle[2], scene.triangle[0], scene.triangle[1])]
+        p1, p2, p3 = points(scene.triangle)
+        tri_sides = [(p2, p3, p1), (p1, p2, p3), (p3, p1, p2)]
         for i, (a, b, interior) in enumerate(tri_sides):
             cross = lambda p: (b[0] - a[0]) * (p[1] - a[1]) - (b[1] - a[1]) * (p[0] - a[0])
-            apex = scene.arcs[i][16]
+            apex = points(scene.arcs[i])[16]
             assert cross(apex) * cross(interior) < 0.0
 
 
@@ -95,8 +104,7 @@ def test_scene_centre_and_altitude(tri):
     scene = build_scene(tri, 1.0, 8.0, 8)
     centre = pythagorean_centre(tri)
     assert scene.centre == approx([centre.x, centre.y], rel=1e-14)
-    assert scene.altitude[0] == approx([0.0, 0.0], abs=1e-15)
-    assert scene.altitude[1] == approx([1.44, 1.92], rel=1e-13)
+    assert scene.altitude == approx([0.0, 0.0, 1.44, 1.92], rel=1e-13, abs=1e-15)
 
 
 def test_scene_infeasible_raises(tri):
@@ -120,7 +128,7 @@ def test_circle_arc_matches_direct_circle_sampling(tri):
     chord_x = arc.a * np.sin(phi)
     chord_y = arc.a * np.cos(phi) - arc.s
     direct = mid + np.outer(chord_x, t) + np.outer(chord_y, nrm)
-    assert np.abs(scene.arcs[0][1:-1] - direct[1:-1]).max() < 1e-10
+    assert np.abs(np.reshape(scene.arcs[0], (-1, 2))[1:-1] - direct[1:-1]).max() < 1e-10
 
 
 def test_json_layers_and_determinism(tri):
@@ -201,20 +209,18 @@ EDGE = [0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e
 
 def test_fmt_rows_matches_fmt():
     values = EDGE[:6] + EDGE[9:]
-    pts = np.array(values).reshape(-1, 2)
     for sign in (1.0, -1.0):
-        expected = "".join(f"{fmt(sign * x)} {fmt(sign * y)}\n" for x, y in pts)
-        assert fmt_rows(sign * pts) == expected
+        layer = tuple(sign * v + 0.0 for v in values)  # a built layer holds no -0.0
+        expected = "".join(f"{fmt(x)} {fmt(y)}\n" for x, y in points(layer))
+        assert fmt_rows(layer) == expected
 
 
 @pytest.mark.parametrize("y", EDGE)
 @pytest.mark.parametrize("x", [0.0, -1.0, math.nan])
 def test_negate_y_rows_matches_fmt(x, y):
     # every path, flipped by its transform, puts (x, y) where fmt(x) fmt(-y) does
-    pt = np.array([[x, y]])
-    scene = Scene(triangle=pt, arcs=(pt, pt, pt), envelope=pt, altitude=pt, centre=pt[0])
-    with np.errstate(over="ignore", invalid="ignore"):  # a one-point viewBox of edge values
-        svg = scene_to_svg(scene)
+    pt = (x + 0.0, y + 0.0)
+    svg = scene_to_svg(Scene(triangle=pt, arcs=(pt, pt, pt), envelope=pt, altitude=pt, centre=pt))
     paths = dict(re.findall(r'<path id="(\w+)" d="([^"]*)"', upright(svg)))
     for name in ("triangle", "arc1", "arc2", "arc3", "envelope", "altitude"):
         d = f"M {fmt(x)} {fmt(-y)}"
@@ -222,9 +228,10 @@ def test_negate_y_rows_matches_fmt(x, y):
 
 
 def edge_scene() -> Scene:
-    grid = np.array([(x, y) for x in EDGE for y in EDGE])
-    return Scene(triangle=grid[:3], arcs=(grid, grid[::-1], grid[::7]), envelope=grid[-3:],
-                 altitude=grid[40:42], centre=np.array([-0.0, math.nan]))
+    grid = [(x + 0.0, y + 0.0) for x in EDGE for y in EDGE]  # a built layer holds no -0.0
+    flat = lambda pts: tuple(v for p in pts for v in p)
+    return Scene(triangle=flat(grid[:3]), arcs=(flat(grid), flat(grid[::-1]), flat(grid[::7])),
+                 envelope=flat(grid[-3:]), altitude=flat(grid[40:42]), centre=(0.0, math.nan))
 
 
 def drawn_paths(svg: str) -> dict:
@@ -289,13 +296,13 @@ def test_emitters_match_per_coordinate_fmt_on_edge_values():
     scene = edge_scene()
     layers = scene.layers()
     expected_json = "{\n" + ",\n".join(
-        f'  "{name}": [' + ", ".join(f"[{fmt(x)}, {fmt(y)}]" for x, y in pts) + "]"
+        f'  "{name}": [' + ", ".join(f"[{fmt(x)}, {fmt(y)}]" for x, y in points(pts)) + "]"
         for name, pts in layers) + "\n}\n"
     assert scene_to_json(scene) == expected_json
     svg = scene_to_svg(scene)
     paths = dict(re.findall(r'<path id="(\w+)" transform="[^"]*" d="([^"]*)"', svg))
     for name, pts in layers[:-1]:  # the centre is a mark, not its points
-        d = "M " + " L ".join(f"{fmt(x)} {fmt(y)}" for x, y in pts)
+        d = "M " + " L ".join(f"{fmt(x)} {fmt(y)}" for x, y in points(pts))
         assert paths[name] == (d + " Z" if name in ("triangle", "envelope") else d)
 
 
@@ -312,26 +319,25 @@ def test_emitters_independent_of_call_order(make):
 def test_cached_rows_are_not_a_field(tri):
     scene = build_scene(tri, 1.0, 8.0, 16)
     scene_to_json(scene)  # fills the cache
-    assert "rows" in vars(scene)
-    assert "rows" not in Scene._fields and len(scene) == len(Scene._fields) == 5
+    assert {"rows", "bounds"} <= set(vars(scene))
+    assert not {"rows", "bounds"} & set(Scene._fields) and len(scene) == len(Scene._fields) == 5
     copy = scene._replace()
-    assert "rows" not in vars(copy)
+    assert not vars(copy)
     assert copy == scene and scene == copy
-    moved = scene._replace(centre=np.array([9.0, -9.0]))
+    # build_scene's bounds, from each arc builder's extremes, are those of every point
+    assert copy.bounds == scene.bounds
+    moved = scene._replace(centre=(9.0, -9.0))
     assert '"centre": [[9, -9]]' in scene_to_json(moved)
     assert f'"centre": [[{fmt(scene.centre[0])}, {fmt(scene.centre[1])}]]' in scene_to_json(scene)
 
 
 def test_scenes_compare_layers_by_value(tri):
+    # layers are tuples of floats, so a scene compares and hashes as a plain tuple
     scene, again = build_scene(tri, 1.0, 8.0, 16), build_scene(tri, 1.0, 8.0, 16)
-    assert scene == again and not scene != again
-    assert scene != scene._replace(centre=np.array([9.0, -9.0]))
+    assert scene == again and not scene != again and hash(scene) == hash(again)
+    assert scene != scene._replace(centre=(9.0, -9.0))
     assert scene != build_scene(tri, 1.0, 8.0, 32)
-    assert scene != scene.layers() and scene.__eq__(scene.layers()) is NotImplemented
-    plain = tuple(again)
-    assert scene != plain and plain != scene and not scene == plain and scene != (1, 2)
-    with pytest.raises(TypeError):
-        hash(scene)
+    assert scene == tuple(again) and scene != scene.layers()
 
 
 def test_scene_is_an_immutable_named_tuple(tri):
@@ -339,7 +345,7 @@ def test_scene_is_an_immutable_named_tuple(tri):
     triangle, arcs, envelope, altitude, centre = scene
     assert centre is scene.centre and arcs is scene.arcs
     scene_to_json(scene)  # fills the cache, which stays out of reach of setattr
-    for name in ("centre", "rows", "colour"):
+    for name in ("centre", "rows", "bounds", "colour"):
         with pytest.raises(AttributeError):
             setattr(scene, name, None)
     assert scene.rows[-1] == f"{fmt(centre[0])} {fmt(centre[1])}\n"
@@ -348,10 +354,71 @@ def test_scene_is_an_immutable_named_tuple(tri):
 def test_tiny_k_parabola_scene_warns_nothing(tri):
     # beta = pi - 5e-10, so 1 + cos(beta) rounds to 0 at the chord ends; those
     # samples are the exact chord ends and must not go through the polar form
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        scene = build_scene(tri, 1.0, 1e-9, 64)
-        scene_to_svg(scene)
-        scene_to_json(scene)
-    for _, pts in scene.layers():
-        assert np.isfinite(pts).all()
+    for samples in (64, 1024):  # one per builder
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            scene = build_scene(tri, 1.0, 1e-9, samples)
+            scene_to_svg(scene)
+            scene_to_json(scene)
+        for _, pts in scene.layers():
+            assert all(map(math.isfinite, pts))
+
+
+def twin_cases() -> list[tuple[PlanarTriangle, float, float]]:
+    """Seeded (triangle, e, k) of every arc class: near-semicircles, thin parabolas, a
+    parabola whose beta is pi to rounding (k = 1e-9), flat arcs up to k = 1e8 and
+    hyperbolas next to their limit, on right, clockwise and general triangles."""
+    rng = random.Random("twin")
+    near = lambda e, lo, hi: feasibility_min_k(e) * (1.0 + 10.0 ** rng.uniform(lo, hi))
+    shapes = [(1.0, 1e-9), (rng.uniform(0.0, 3.0), 1e8)]
+    for _ in range(3):
+        e = rng.choice([0.0, rng.uniform(0.0, 0.99)])
+        shapes += [(e, near(e, -9.0, -3.0)), (1.0, 10.0 ** rng.uniform(-3.0, -1.0)),
+                   (rng.uniform(0.0, 3.0), 10.0 ** rng.uniform(6.0, 8.0))]
+        e = rng.uniform(1.01, 20.0)
+        shapes.append((e, near(e, -6.0, -1.0)))
+    triangles = [place_triangle(10.0 ** rng.uniform(-3, 3), 10.0 ** rng.uniform(-3, 3)),
+                 CLOCKWISE, PlanarTriangle((-0.0, -0.0), (4.0, -0.0), (-0.0, 3.0))]
+    triangles += [PlanarTriangle(*((rng.uniform(-9, 9), rng.uniform(-9, 9)) for _ in range(3)))
+                  for _ in range(len(shapes) - len(triangles))]
+    return [(t, e, k) for t, (e, k) in zip(triangles, shapes)]
+
+
+def bits(values) -> bytes:
+    return array("d", values).tobytes()
+
+
+def test_math_and_numpy_arcs_are_bitwise_equal():
+    above = (_MATH_SAMPLES + 1, 100, 1001)
+    for tri, e, k in twin_cases():
+        orient = 1.0 if tri._area2 > 0 else -1.0
+        for a, b, l in _sides(tri):
+            arc = construct_arc(l, l / k, e)
+            for n in (*range(2, _MATH_SAMPLES + 1), *above):
+                (pts, box), (twin, twin_box) = (build(arc, n, a, b, orient)
+                                                for build in (_arc_math, _arc_numpy))
+                assert (bits(pts), bits(box)) == (bits(twin), bits(twin_box)), (e, k, n)
+            for n in (1, 0, -3):
+                with pytest.raises(ConicError) as math_error:
+                    _arc_math(arc, n, a, b, orient)
+                with pytest.raises(ConicError) as numpy_error:
+                    _arc_numpy(arc, n, a, b, orient)
+                assert str(math_error.value) == str(numpy_error.value) == (
+                    f"need n >= 2 samples, got {n}")
+
+
+def test_scene_bytes_do_not_depend_on_the_builder(monkeypatch):
+    for tri, e, k in twin_cases():
+        for n in (2, 3, _MATH_SAMPLES, _MATH_SAMPLES + 1, 1001):
+            outputs = []
+            for limit in (0, 1 << 30):  # every arc through _arc_numpy, then _arc_math
+                monkeypatch.setattr(scene_module, "_MATH_SAMPLES", limit)
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    scene = build_scene(tri, e, k, n)
+                    outputs.append((scene_to_svg(scene), scene_to_json(scene), scene.bounds))
+                # layers hold no -0.0, and the bounds are those of every point
+                assert not any(v == 0.0 and math.copysign(1.0, v) < 0.0
+                               for _, pts in scene.layers() for v in pts)
+                assert scene._replace().bounds == scene.bounds
+            assert outputs[0] == outputs[1], (e, k, n)
