@@ -51,25 +51,23 @@ class ConicClass(enum.Enum):
     HYPERBOLA = "hyperbola"
 
 
-def _check_eccentricity(e: float) -> float:
+_CIRCLE, _ELLIPSE, _PARABOLA, _HYPERBOLA = ConicClass  # globals: cheaper than enum attributes
+
+
+def _eccentricity(e: float) -> tuple[float, ConicClass]:
+    """(float(e), its class) for a finite e >= 0; else ConicError."""
     e = float(e)
     if not math.isfinite(e):
         raise ConicError(f"eccentricity must be finite, got {e}")
     if e < 0.0:
         raise ConicError(f"eccentricity must be >= 0, got {e}")
-    return e
+    return e, (_CIRCLE if e == 0.0 else _ELLIPSE if e < 1.0 else _PARABOLA if e == 1.0
+               else _HYPERBOLA)
 
 
 def classify(e: float) -> ConicClass:
     """Conic class for eccentricity ``e`` (0 circle, (0,1) ellipse, 1 parabola, >1 hyperbola)."""
-    e = _check_eccentricity(e)
-    if e == 0.0:
-        return ConicClass.CIRCLE
-    if e < 1.0:
-        return ConicClass.ELLIPSE
-    if e == 1.0:
-        return ConicClass.PARABOLA
-    return ConicClass.HYPERBOLA
+    return _eccentricity(e)[1]
 
 
 def feasibility_min_k(e: float) -> float:
@@ -78,7 +76,7 @@ def feasibility_min_k(e: float) -> float:
     Equals ``2*sqrt(|1 - e^2|)``; arcs require k strictly above it.  For the
     parabola (e = 1) there is no constraint and 0 is returned.
     """
-    return _min_k(_check_eccentricity(e))
+    return _min_k(_one_minus_e2(_eccentricity(e)[0]))
 
 
 def _one_minus_e2(e: float) -> float:
@@ -89,21 +87,22 @@ def _one_minus_e2(e: float) -> float:
     return 2.0 * d - d * d if e < 2.0 else d * (1.0 + e)
 
 
-def _min_k(e: float) -> float:
-    return 2.0 * math.sqrt(abs(_one_minus_e2(e)))
+def _min_k(q: float) -> float:
+    """The limit 2 sqrt(|q|) on k of an eccentricity whose 1 - e^2 is q."""
+    return 2.0 * math.sqrt(abs(q))
 
 
 def _check_feasible(e: float, k: float) -> tuple[float, float]:
     """(e, k) as floats for a valid e and a finite k above ``feasibility_min_k(e)``."""
-    e, k = _check_eccentricity(e), float(k)
+    e, k = _eccentricity(e)[0], float(k)
     if not math.isfinite(k):
         raise ConicError(f"k must be finite, got {k}")
-    return e, _feasible_k(e, k)
+    return e, _feasible_k(e, k, _one_minus_e2(e))
 
 
-def _feasible_k(e: float, k: float) -> float:
-    """k, if it exceeds the limit of an eccentricity already checked; else InfeasibleSagitta."""
-    k_min = _min_k(e)
+def _feasible_k(e: float, k: float, q: float) -> float:
+    """k, if above the limit of a checked e whose 1 - e^2 is q; else InfeasibleSagitta."""
+    k_min = _min_k(q)
     if not (k > k_min):
         if k_min > 0.0:
             msg = (f"sagitta too large for e={fmt(e)}: k = l/f = {fmt(k)} must exceed "
@@ -151,24 +150,24 @@ def construct_arc(l: float, f: float, e: float) -> ConicArc:
     ``ConicError`` when a dimension of the arc overflows the float range or
     the semi-latus rectum ``p`` underflows to 0.
     """
-    cls, e = classify(e), float(e)  # classify checks float(e)
+    e, cls = _eccentricity(e)
     l, f = float(l), float(f)
     if not (math.isfinite(l) and math.isfinite(f)):
         raise ConicError(f"chord and sagitta must be finite, got l={l}, f={f}")
     if l <= 0.0 or f <= 0.0:
         raise ConicError(f"chord and sagitta must be positive, got l={l}, f={f}")
-    k = _feasible_k(e, l / f)
+    q = _one_minus_e2(e)
+    k = _feasible_k(e, l / f, q)
     # Each angle is taken, and each length rounded, per unit chord before it is
     # scaled by l, so arcs of equal (e, k) agree bit for bit whatever their chord.
-    q = _one_minus_e2(e)
     p = l * (k / 8.0 + q / (2.0 * k))
     s_u = k / (8.0 * (1.0 + e)) - (1.0 + e) / (2.0 * k)
     s = l * s_u
     beta = math.atan2(0.5, s_u)
-    if cls is ConicClass.PARABOLA:  # m is the focal length; there is no centre
+    if cls is _PARABOLA:  # m is the focal length; there is no centre
         m = l * (k / 16.0)
         a = b = c_focal = alpha = None
-        scaled = (p, s, m)
+        zero = 0.0 * p * s * m
     else:
         # ellipse and hyperbola differ only in the sign of the 1/(2k) term
         axis = k / (8.0 * abs(q))
@@ -178,8 +177,9 @@ def construct_arc(l: float, f: float, e: float) -> ConicArc:
         b = a * math.sqrt(abs(q))
         c_focal = e * l * a_u
         alpha = math.atan2(0.5, m_u)
-        scaled = (p, s, m, a, b, c_focal)
-    if not all(map(math.isfinite, scaled)):
+        zero = 0.0 * p * s * m * a * b * c_focal
+    # +-0 while every dimension is finite: 0 * inf and 0 * nan are nan
+    if zero != 0.0:
         raise ConicError(f"arc dimensions overflow for l={l}, f={f}, e={e}")
     if p == 0.0:
         raise ConicError(f"semi-latus rectum underflows to 0 for l={l}, f={f}, e={e}")

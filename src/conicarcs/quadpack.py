@@ -28,7 +28,9 @@ Two exact properties of f skip work without changing a bit:
   result.
 
 Arrays keep QUADPACK's 1-based indices (slot 0 is unused), so the port reads
-line by line against the Fortran.
+line by line against the Fortran.  Unlike there, the subinterval tables grow
+by one slot per bisection, and the 52-entry epsilon table is made only when a
+second bisection is due: an arc whose first rule converges allocates none.
 """
 
 from math import cos, sqrt
@@ -175,6 +177,11 @@ def qags(e, beta, epsrel, limit):
     ``last`` subintervals, not the number of times f was evaluated here.
     """
     esq = e * e
+    result, abserr, resasc = _even_rule(e, esq, beta)
+    errbnd = epsrel * result  # result is |result|: f >= 0
+    if (limit == 1 or abserr == 0.0 or (abserr <= errbnd and abserr != resasc)
+            or (abserr <= 100.0 * _EPMACH * result and abserr > errbnd)):
+        return result, abserr, 21
     rules = {}
 
     def rule(a, b):
@@ -183,19 +190,9 @@ def qags(e, beta, epsrel, limit):
             got = rules[a, b] = _rule(e, esq, a, b)
         return got
 
-    result, abserr, resasc = _even_rule(e, esq, beta)
-    errbnd = epsrel * result  # result is |result|: f >= 0
-    if (limit == 1 or abserr == 0.0 or (abserr <= errbnd and abserr != resasc)
-            or (abserr <= 100.0 * _EPMACH * result and abserr > errbnd)):
-        return result, abserr, 21
-
-    alist = [0.0, -beta] + [0.0] * (limit - 1)
-    blist = [0.0, beta] + [0.0] * (limit - 1)
-    rlist = [0.0, result] + [0.0] * (limit - 1)
-    elist = [0.0, abserr] + [0.0] * (limit - 1)
-    iord = [0, 1] + [0] * (limit - 1)
-    rlist2 = [0.0, result] + [0.0] * 51  # the epsilon table, 52 entries
-    res3la = [0.0] * 4  # the last three extrapolated values
+    # the bisection that makes subinterval last appends its slot to each table
+    alist, blist, iord = [0.0, -beta], [0.0, beta], [0, 1]
+    rlist, elist = [0.0, result], [0.0, abserr]
     errmax = abserr
     maxerr = 1
     area = result
@@ -235,8 +232,6 @@ def qags(e, beta, epsrel, limit):
                     iroff1 += 1
             if last > 10 and erro12 > errmax:
                 iroff3 += 1
-        rlist[maxerr] = area1
-        rlist[last] = area2
         errbnd = epsrel * abs(area)
         # roundoff, the subdivision budget, or an interval too small to bisect
         if (iroff1 + iroff2 >= 10 or iroff3 >= 20 or last == limit
@@ -247,18 +242,21 @@ def qags(e, beta, epsrel, limit):
 
         if error2 > error1:
             alist[maxerr] = a2
-            alist[last] = a1
-            blist[last] = b1
+            alist.append(a1)
+            blist.append(b1)
             rlist[maxerr] = area2
-            rlist[last] = area1
+            rlist.append(area1)
             elist[maxerr] = error2
-            elist[last] = error1
+            elist.append(error1)
         else:
-            alist[last] = a2
+            alist.append(a2)
             blist[maxerr] = b1
-            blist[last] = b2
+            blist.append(b2)
+            rlist[maxerr] = area1
+            rlist.append(area2)
             elist[maxerr] = error1
-            elist[last] = error2
+            elist.append(error2)
+        iord.append(0)  # dqpsrt orders iord(1..last)
         maxerr, errmax, nrmax = _sort(limit, last, maxerr, elist, iord, nrmax)
         if errsum <= errbnd:
             return _sum(rlist, last), errsum, 42 * last - 21
@@ -268,7 +266,8 @@ def qags(e, beta, epsrel, limit):
             small = (beta + beta) * 0.375
             erlarg = errsum
             ertest = errbnd
-            rlist2[2] = area
+            rlist2 = [0.0, result, area] + [0.0] * 50  # the epsilon table, 52 entries
+            res3la = [0.0] * 4  # the last three extrapolated values
             continue
         if noext:
             continue

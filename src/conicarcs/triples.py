@@ -71,8 +71,9 @@ def conic_triple(tri: PlanarTriangle, e: float, k: float) -> ConicTriple:
     propagates ``InfeasibleSagitta`` from the construction.
     """
     e, k = _check_feasible(e, k)  # rejects k <= 0 before any division
-    arcs = tuple(construct_arc(l, l / k, e) for l in (tri.l1, tri.l2, tri.l3))
-    lengths = tuple(arc_length(a).length for a in arcs)
+    l1, l2, l3 = tri.l1, tri.l2, tri.l3
+    arcs = construct_arc(l1, l1 / k, e), construct_arc(l2, l2 / k, e), construct_arc(l3, l3 / k, e)
+    lengths = arc_length(arcs[0]).length, arc_length(arcs[1]).length, arc_length(arcs[2]).length
     return ConicTriple(e, k, arcs, lengths, _residual(*lengths, _cos_a1(tri)))
 
 
@@ -100,16 +101,15 @@ def sweep(tri: PlanarTriangle, e_values: list[float], k_values: list[float]) -> 
     for e in e_values:
         k_min = feasibility_min_k(e)
         for k in k_values:
-            t = None
             if k > k_min:  # checked first, so most infeasible cells raise nothing
                 try:
                     t = conic_triple(tri, e, k)
                 except InfeasibleSagitta:  # a side's l/(l/k) can round onto the limit
                     pass
-            if t is None:
-                rows.append(SweepRow(e, k, False))
-            else:
-                rows.append(SweepRow(e, k, True, *t.lengths, t.residual, t.lengths[0] / tri.l1))
+                else:
+                    rows.append(SweepRow(e, k, True, *t.lengths, t.residual, t.lengths[0] / tri.l1))
+                    continue
+            rows.append(SweepRow(e, k, False))
     return rows
 
 

@@ -311,20 +311,26 @@ def test_qags_matches_scipy_quad_bitwise():
 
     pole = construct_arc(0.8193141995619333, 0.4497990671475703, 1.3525812688823207)
     arcs = [pole] + seeded_arcs(2400)
-    mismatches, at_limit = [], 0
+    mismatches, paths = [], dict.fromkeys(("first rule", "one bisection", "several", "budget"), 0)
     for arc in arcs:
         expected = scipy_quad_outcome(arc.e, arc.beta)
         try:
             got = qags(arc.e, arc.beta, 1e-12, 60)
         except ZeroDivisionError as exc:
             got = type(exc).__name__
-        at_limit += isinstance(expected, tuple) and expected[2] == 42 * 60 - 21
+        if isinstance(expected, tuple):  # the path is read off neval = 42 * last - 21
+            neval = expected[2]
+            paths["first rule" if neval == 21 else "one bisection" if neval == 63
+                  else "budget" if neval == 42 * 60 - 21 else "several"] += 1
         # repr round-trips a float: equal text is equal bits, -0.0 and nan included
         if repr(got) != repr(expected):
             mismatches.append((arc.e, arc.k, expected, got))
     assert scipy_quad_outcome(pole.e, pole.beta) == "ZeroDivisionError"
     assert not mismatches
-    assert at_limit >= 50
+    # each path through qags's tables is checked on many arcs: no subdivision, one (the
+    # tables, no epsilon table), several (the epsilon table) and the whole budget
+    floors = {"first rule": 1000, "one bisection": 100, "several": 500, "budget": 50}
+    assert all(paths[path] >= floor for path, floor in floors.items()), paths
 
 
 @pytest.mark.parametrize("e, k_over_min", [(0.5, 3.0), (1.0, 2.0), (2.0, 1.5), (3.0, 1.0 + 1e-6)])

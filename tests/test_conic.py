@@ -76,6 +76,27 @@ def test_construct_validation_order(l, f, e, message):
         construct_arc(l, f, e)
 
 
+@pytest.mark.parametrize("l,f,e,cls,message", [
+    (-1.0, 0.5, float("nan"), ConicError, "eccentricity must be finite, got nan"),
+    (float("inf"), -0.1, 0.5, ConicError, "chord and sagitta must be finite, got l=inf, f=-0.1"),
+    (-1.0, 0.6, 0.0, ConicError, "chord and sagitta must be positive, got l=-1.0, f=0.6"),
+    # infeasible, and p = l (k/8 + (1 - e^2)/(2k)) would overflow
+    (1e10, 1e10, 1e150, InfeasibleSagitta, "sagitta too large for e=9.9999999999999998e+149: "
+     "k = l/f = 1 must exceed 2e+150 (requires f < l/2e+150)"),
+    # p underflows to 0 where the true length is about 2f
+    (2.6472860049620684e-159, 3.420752431176742e+74, 1.0, ConicError,
+     "semi-latus rectum underflows to 0 for l=2.6472860049620684e-159, "
+     "f=3.420752431176742e+74, e=1.0"),
+], ids=["nan-e-negative-l", "inf-l-negative-f", "negative-l-infeasible-k",
+        "infeasible-overflowing", "underflowing-p"])
+def test_construct_refusal_precedence_and_text(l, f, e, cls, message):
+    # of two faults, the refusal named is the one checked first, in its own class and words
+    with pytest.raises(ConicError) as info:
+        construct_arc(l, f, e)
+    assert type(info.value) is cls
+    assert str(info.value) == message
+
+
 @pytest.mark.parametrize("l,f,e", [
     (1e300, 1e-300, 0.5),  # k = l/f overflows
     (1e300, 1e-7, 0.0),    # p = l * p/l overflows
@@ -90,6 +111,16 @@ def test_construct_rejects_overflowing_arc(capsys, l, f, e):
     out, err = capsys.readouterr()
     assert out == ""
     assert "arc dimensions overflow" in err
+
+
+@pytest.mark.parametrize("l,f,e", [
+    (1e308, 1e308 / 16.0, 1.0),    # p alone overflows
+    (1.6e308, 1.6e308 / 6.8, 0.5),  # a alone, and b = a sqrt(1 - e^2) with it
+    (1e308, 1e308 / 5.9, 1.2),     # c_focal = e a alone
+])
+def test_construct_rejects_one_overflowing_dimension(l, f, e):
+    with pytest.raises(ConicError, match="arc dimensions overflow"):
+        construct_arc(l, f, e)
 
 
 @pytest.mark.parametrize("l,f,e", [
