@@ -76,7 +76,7 @@ def arc_length(arc: ConicArc) -> ArcLengthResult:
             f"relative error estimate {fmt(abserr / value)} above {_REL_TOL!r} after "
             f"{_MAX_SUBDIVISIONS} subdivisions (e={fmt(e)}, k={fmt(arc.k)})"
         )
-    return ArcLengthResult(arc.p * value, arc.p * abserr, evaluations)
+    return tuple.__new__(ArcLengthResult, (arc.p * value, arc.p * abserr, evaluations))
 
 
 def g_factor(e: float, k: float) -> float:

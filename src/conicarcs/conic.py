@@ -183,7 +183,8 @@ def construct_arc(l: float, f: float, e: float) -> ConicArc:
         raise ConicError(f"arc dimensions overflow for l={l}, f={f}, e={e}")
     if p == 0.0:
         raise ConicError(f"semi-latus rectum underflows to 0 for l={l}, f={f}, e={e}")
-    return ConicArc(cls, e, l, f, k, a, b, c_focal, m, p, s, beta, alpha)
+    # the record as one C call: a named tuple's own __new__ is a Python function
+    return tuple.__new__(ConicArc, (cls, e, l, f, k, a, b, c_focal, m, p, s, beta, alpha))
 
 
 def sample_points(arc: ConicArc, n: int) -> np.ndarray:

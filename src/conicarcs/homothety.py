@@ -20,6 +20,7 @@ computed once, when the triangle is built, and kept on it.
 from __future__ import annotations
 
 import math
+from functools import cached_property
 from typing import NamedTuple
 
 from .errors import ConicError
@@ -90,6 +91,7 @@ class PlanarTriangle(_Vertices):
     attributes, beside the exact form every homothety output is computed from: the
     coordinates as the integers ``_v`` over one power of two ``_d``, and
     ``_area2``, twice the signed area times ``_d``^2 (positive if counter-clockwise).
+    ``cos_a1``, the cosine of the angle at P1, is derived from them on first use.
     """
 
     __setattr__ = __delattr__ = _refuse_change
@@ -113,6 +115,14 @@ class PlanarTriangle(_Vertices):
     @classmethod
     def _make(cls, iterable) -> PlanarTriangle:  # also behind _replace: no unchecked triangle
         return cls(*iterable)
+
+    @cached_property
+    def cos_a1(self) -> float:
+        """cos A1 = (P2 - P1).(P3 - P1) / (l2 l3), rounded once from the exact integer dot
+        product: exactly 0 for a right angle at P1.  Like l1..l3, an attribute, not a field."""
+        x1, y1, x2, y2, x3, y3 = self._v
+        (n2, d2), (n3, d3) = self.l2.as_integer_ratio(), self.l3.as_integer_ratio()
+        return ((x2 - x1) * (x3 - x1) + (y2 - y1) * (y3 - y1)) * d2 * d3 / (self._d ** 2 * n2 * n3)
 
 
 def place_triangle(l2: float, l3: float) -> PlanarTriangle:

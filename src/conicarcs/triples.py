@@ -47,14 +47,6 @@ class ConicTriple(NamedTuple):
     residual: float
 
 
-def _cos_a1(tri: PlanarTriangle) -> float:
-    """cos A1 = (P2 - P1).(P3 - P1) / (l2 l3), rounded once from the exact integer dot
-    product: exactly 0 for a right angle at P1."""
-    x1, y1, x2, y2, x3, y3 = tri._v
-    (n2, d2), (n3, d3) = tri.l2.as_integer_ratio(), tri.l3.as_integer_ratio()
-    return ((x2 - x1) * (x3 - x1) + (y2 - y1) * (y3 - y1)) * d2 * d3 / (tri._d ** 2 * n2 * n3)
-
-
 def _residual(c1: float, c2: float, c3: float, cos_a1: float) -> float:
     # Ratios to the largest length are at most 1: squared, they cannot overflow, as
     # a squared length could, and underflow only where negligible next to 1.  For
@@ -74,7 +66,7 @@ def conic_triple(tri: PlanarTriangle, e: float, k: float) -> ConicTriple:
     l1, l2, l3 = tri.l1, tri.l2, tri.l3
     arcs = construct_arc(l1, l1 / k, e), construct_arc(l2, l2 / k, e), construct_arc(l3, l3 / k, e)
     lengths = arc_length(arcs[0]).length, arc_length(arcs[1]).length, arc_length(arcs[2]).length
-    return ConicTriple(e, k, arcs, lengths, _residual(*lengths, _cos_a1(tri)))
+    return tuple.__new__(ConicTriple, (e, k, arcs, lengths, _residual(*lengths, tri.cos_a1)))
 
 
 class SweepRow(NamedTuple):
@@ -101,34 +93,37 @@ def sweep(tri: PlanarTriangle, e_values: list[float], k_values: list[float]) -> 
     for e in e_values:
         k_min = feasibility_min_k(e)
         for k in k_values:
+            row = (e, k, False, None, None, None, None, None)
             if k > k_min:  # checked first, so most infeasible cells raise nothing
                 try:
-                    t = conic_triple(tri, e, k)
+                    _, _, _, (c1, c2, c3), residual = conic_triple(tri, e, k)
                 except InfeasibleSagitta:  # a side's l/(l/k) can round onto the limit
                     pass
                 else:
-                    rows.append(SweepRow(e, k, True, *t.lengths, t.residual, t.lengths[0] / tri.l1))
-                    continue
-            rows.append(SweepRow(e, k, False))
+                    row = (e, k, True, c1, c2, c3, residual, c1 / tri.l1)
+            rows.append(tuple.__new__(SweepRow, row))
     return rows
 
 
 SWEEP_CSV_HEADER = "e,k,feasible,c1,c2,c3,residual,g"
-_FEASIBLE_ROW = "%.17g,%.17g,true,%.17g,%.17g,%.17g,%.17g,%.17g\n"
-_INFEASIBLE_ROW = "%.17g,%.17g,false,,,,,\n"
+_FEASIBLE_ROW = "%s,%s,true,%.17g,%.17g,%.17g,%.17g,%.17g\n"
+_INFEASIBLE_ROW = "%s,%s,false,,,,,\n"
 
 
 def sweep_csv(rows: list[SweepRow]) -> str:
     """Serialize sweep rows to CSV (17 significant digits, empty cells when infeasible).
 
     Each row goes through one ``%``: ``%.17g`` prints a float exactly as
-    ``fmt`` does, and ``+ 0.0`` folds -0.0 into 0.0 as it does there.
+    ``fmt`` does, and ``+ 0.0`` folds -0.0 into 0.0 as it does there.  A grid
+    repeats its e and k values, so each distinct one is printed once (-0.0 and
+    0.0 are one key, which the fold makes safe).
     """
+    text = {v: "%.17g" % (v + 0.0) for v in {r[0] for r in rows} | {r[1] for r in rows}}
     lines = [SWEEP_CSV_HEADER + "\n"]
     for e, k, feasible, c1, c2, c3, residual, g in rows:
         if feasible:
-            lines.append(_FEASIBLE_ROW % (e + 0.0, k + 0.0, c1 + 0.0, c2 + 0.0, c3 + 0.0,
+            lines.append(_FEASIBLE_ROW % (text[e], text[k], c1 + 0.0, c2 + 0.0, c3 + 0.0,
                                           residual + 0.0, g + 0.0))
         else:
-            lines.append(_INFEASIBLE_ROW % (e + 0.0, k + 0.0))
+            lines.append(_INFEASIBLE_ROW % (text[e], text[k]))
     return "".join(lines)

@@ -18,6 +18,7 @@ from conicarcs import (
     conic_triple,
     enveloping_triangle,
     homothety_ratio,
+    make_right_triangle,
     place_triangle,
     pythagorean_centre,
     verify_homothety,
@@ -248,6 +249,31 @@ def test_points_and_triangles_are_named_tuples():
         del tri.l1
     copy = pickle.loads(pickle.dumps(tri))
     assert copy == tri and type(copy) is PlanarTriangle and copy.l1 == tri.l1
+
+
+@pytest.mark.parametrize("legs", [(4.0, 3.0), (3.0, 4.0), (0.1, 0.7), (1e-300, 2.5e-300),
+                                  (1.1e300, 3e299)])
+def test_cos_a1_of_a_right_angle_is_zero(legs):
+    for tri in (place_triangle(*legs), make_right_triangle(*legs)):
+        assert tri.cos_a1 == 0.0 and math.copysign(1.0, tri.cos_a1) == 1.0
+
+
+def test_cos_a1_is_kept_and_leaves_the_triangle_as_it_was():
+    tri = PlanarTriangle((0.0, 0.0), (6.0, 0.0), (3.0, 4.0))
+    twin = PlanarTriangle((0.0, 0.0), (6.0, 0.0), (3.0, 4.0))
+    before = hash(tri)
+    assert tri.cos_a1 == 0.6 == 18 / 30 and "cos_a1" in vars(tri) and "cos_a1" not in vars(twin)
+    assert tri == twin and hash(tri) == hash(twin) == before == hash(tuple(tri))
+    assert tri._fields == ("p1", "p2", "p3") and len(tri) == 3
+    with pytest.raises(AttributeError):
+        tri.cos_a1 = 0.5
+    with pytest.raises(AttributeError):
+        del tri.cos_a1
+    assert tri.cos_a1 == 0.6
+    right = tri._replace(p3=(0.0, 4.0))  # its own angle at P1, not the one read above
+    assert right.cos_a1 == 0.0 and tri.cos_a1 == 0.6
+    obtuse = tri._replace(p3=(-3.0, 4.0))
+    assert obtuse.cos_a1 == -0.6
 
 
 def test_planar_triangle_rejects_repeated_vertex():

@@ -173,3 +173,24 @@ def test_record_defaults_and_repr():
     assert repr(res) == "ArcLengthResult(length=1.5, error_estimate=1e-15, evaluations=21)"
     arc = conicarcs.construct_arc(l=1.0, f=0.25, e=0.5)
     assert repr(conicarcs.arc_length(arc)).startswith("ArcLengthResult(length=1.15607")
+    # the library builds the records it returns with tuple.__new__, not the named tuple's
+    # constructor: each must still be its exact type, with every field, printed alike
+    tri = conicarcs.make_right_triangle(3.0, 4.0)
+    assert repr(arc) == (
+        "ConicArc(conic_class=<ConicClass.ELLIPSE: 'ellipse'>, e=0.5, l=1.0, f=0.25, k=4.0, "
+        "a=0.7916666666666666, b=0.6856034446626805, c_focal=0.3958333333333333, "
+        "m=0.5416666666666666, p=0.59375, s=0.14583333333333331, beta=1.2870022175865687, "
+        "alpha=0.7454194762741583)")
+    triple = conicarcs.conic_triple(tri, 1.0, 8.0)
+    infeasible, feasible = conicarcs.sweep(tri, [2.0], [3.0, 4.0])
+    assert repr(infeasible) == ("SweepRow(e=2.0, k=3.0, feasible=False, c1=None, c2=None, "
+                                "c3=None, residual=None, g=None)")
+    assert repr(feasible).startswith("SweepRow(e=2.0, k=4.0, feasible=True, c1=5.61914990351")
+    records = [(arc, "ConicArc"), (conicarcs.arc_length(arc), "ArcLengthResult"),
+               (triple, "ConicTriple"), *((a, "ConicArc") for a in triple.arcs),
+               (infeasible, "SweepRow"), (feasible, "SweepRow")]
+    for rec, name in records:
+        record = getattr(conicarcs, name)
+        assert type(rec) is record and len(rec) == len(record._fields) == len(RECORDS[name])
+        assert repr(rec) == repr(record(*rec)) and rec == record(*rec)
+        assert rec._asdict() == dict(zip(RECORDS[name], rec))

@@ -229,6 +229,16 @@ def test_sweep_csv_matches_fmt_cell_by_cell(legs):
     text = sweep_csv(rows)
     assert text == _sweep_csv_by_fmt(rows)
     assert text.splitlines()[1].startswith("0,")
+    # e and k share values, and each list holds -0.0 before the 0.0 equal to it: a
+    # value's text must not depend on which of the equal floats was seen first
+    shared = sweep(make_right_triangle(*legs), [-0.0, 0.0, 1.0, 2.0, 4.0, 8.0],
+                   [-0.0, 0.0, 1.0, 2.0, 4.0, 8.0])
+    assert [math.copysign(1.0, r.e) for r in shared[:7]] == [-1.0] * 6 + [1.0]
+    assert [math.copysign(1.0, r.k) for r in shared[:2]] == [-1.0, 1.0]
+    assert {r.feasible for r in shared} == {True, False}
+    text = sweep_csv(shared)
+    assert text == _sweep_csv_by_fmt(shared)
+    assert text.splitlines()[1:3] == ["0,0,false,,,,,"] * 2 and "-0," not in text
 
 
 def test_triple_lengths_equal_single_arc_lengths_bitwise():
