@@ -159,11 +159,15 @@ def _symmedian(v: tuple[int, ...]) -> tuple[int, int, int]:
     return s1 * x1 + s3 * x2 + s2 * x3, s1 * y1 + s3 * y2 + s2 * y3, s1 + s2 + s3
 
 
+def _centre(d: int, cx: int, cy: int, s: int) -> Point:
+    """K = (cx, cy) / (d s) from ``_symmedian``'s integers, each coordinate rounded once."""
+    return Point(cx / (d * s), cy / (d * s))
+
+
 def pythagorean_centre(tri: PlanarTriangle) -> Point:
     """The symmedian point, the homothety centre for every k; for a right triangle the
     midpoint of the altitude from the right angle (the paper's Pythagorean centre)."""
-    cx, cy, s = _symmedian(tri._v)
-    return Point(cx / (tri._d * s), cy / (tri._d * s))
+    return _centre(tri._d, *_symmedian(tri._v))
 
 
 def _sides(tri: PlanarTriangle) -> tuple[tuple[Point, Point, float], ...]:
@@ -263,5 +267,4 @@ def verify_homothety(tri: PlanarTriangle, k: float) -> HomothetyReport:
 
     max_deviation = max(math.hypot(off(qx, cx, px), off(qy, cy, py))
                         for qx, qy, px, py in zip(ev[0::2], ev[1::2], v[0::2], v[1::2]))
-    centre = Point(cx / (d * s), cy / (d * s))
-    return HomothetyReport(centre, ratio, env, max_deviation)
+    return HomothetyReport(_centre(d, cx, cy, s), ratio, env, max_deviation)

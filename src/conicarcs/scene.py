@@ -2,10 +2,10 @@
 
 Arcs are sampled in their chord frame and mapped onto each side so they bulge
 outward.  The centre is the symmedian point: for a right triangle, the midpoint of
-the altitude.  Each layer is a flat tuple of floats ``(x0, y0, x1, y1, ...)``
-holding no -0.0.  Scenes serialize to JSON (named layers with point arrays) and
-to stroke-only SVG in a fixed element order, so identical input gives identical
-bytes.
+the altitude.  A ``Scene`` holds seven layers, ``triangle, arc1, arc2, arc3,
+envelope, altitude, centre``, each a flat tuple of floats ``(x0, y0, x1, y1, ...)``
+holding no -0.0.  JSON (one point array per layer) and stroke-only SVG (one path
+per layer) both follow that order, so identical input gives identical bytes.
 
 An arc of at most ``_MATH_SAMPLES`` samples is built with ``math`` alone, so a
 scene of the default size loads no numpy; a larger one goes through numpy's
@@ -44,29 +44,19 @@ Box = tuple[float, float, float, float]  # (min x, min y, max x, max y)
 
 class _Layers(NamedTuple):
     triangle: Layer
-    arcs: tuple[Layer, Layer, Layer]
+    arc1: Layer
+    arc2: Layer
+    arc3: Layer
     envelope: Layer
     altitude: Layer
     centre: Layer
 
 
 class Scene(_Layers):
-    """The named tuple of a drawing's layers, each a flat tuple of floats; ``==``
-    and ``hash`` are a tuple's."""
+    """The named tuple of a drawing's seven layers, each a flat tuple of floats, in
+    the order both emitters write them; ``==`` and ``hash`` are a tuple's."""
 
     __setattr__ = __delattr__ = _refuse_change
-
-    def layers(self) -> list[tuple[str, Layer]]:
-        """Layer name/points pairs in the fixed emission order."""
-        return [
-            ("triangle", self.triangle),
-            ("arc1", self.arcs[0]),
-            ("arc2", self.arcs[1]),
-            ("arc3", self.arcs[2]),
-            ("envelope", self.envelope),
-            ("altitude", self.altitude),
-            ("centre", self.centre),
-        ]
 
     @cached_property
     def bounds(self) -> Box:
@@ -75,16 +65,16 @@ class Scene(_Layers):
         ``build_scene`` fills it from each arc builder's own extremes, so a
         large arc is never scanned here.  Not a field, like ``rows``.
         """
-        return _extremes([v for _, pts in self.layers() for v in pts])
+        return _extremes([v for pts in self for v in pts])
 
     @cached_property
     def rows(self) -> tuple[str, ...]:
-        """Each layer's points as ``"x y\\n"`` rows at 17 digits, in ``layers()`` order.
+        """Each layer's points as ``"x y\\n"`` rows at 17 digits, in field order.
 
         Formatted on first use and kept, so the SVG and JSON emitters share one
         formatting pass.  Not a field: ``==`` and ``_replace`` ignore it.
         """
-        return tuple(fmt_rows(pts) for _, pts in self.layers())
+        return tuple(map(fmt_rows, self))
 
 
 def fmt_rows(pts: Layer) -> str:
@@ -157,8 +147,8 @@ def build_scene(tri: PlanarTriangle, e: float, k: float, samples: int) -> Scene:
     env = enveloping_triangle(tri, k)
     foot, _ = altitude_from_right_angle(tri)
     flat = lambda *points: tuple(v + 0.0 for p in points for v in p)
-    scene = Scene(triangle=flat(*tri), arcs=arcs, envelope=flat(*env),
-                  altitude=flat(tri.p1, foot), centre=flat(pythagorean_centre(tri)))
+    scene = Scene(flat(*tri), *arcs, flat(*env), flat(tri.p1, foot),
+                  flat(pythagorean_centre(tri)))
     # each arc's extremes stand in for its points: a box is two points of the arc's range
     small = scene.triangle + scene.envelope + scene.altitude + scene.centre
     vars(scene)["bounds"] = _extremes(small + sum(boxes, ()))
@@ -168,7 +158,7 @@ def build_scene(tri: PlanarTriangle, e: float, k: float, samples: int) -> Scene:
 def scene_to_json(scene: Scene) -> str:
     """JSON document with one point array per layer, floats at 17 significant digits."""
     parts = []
-    for (name, _), rows in zip(scene.layers(), scene.rows):
+    for name, rows in zip(scene._fields, scene.rows):
         body = rows[:-1].replace(" ", ", ").replace("\n", "], [")
         parts.append(f'  "{name}": [[{body}]]')
     return "{\n" + ",\n".join(parts) + "\n}\n"
@@ -189,7 +179,7 @@ def scene_to_svg(scene: Scene) -> str:
     tick = 0.02 * max(width, height)
 
     paths = []
-    for (name, pts), rows in zip(scene.layers(), scene.rows):
+    for name, pts, rows in zip(scene._fields, scene, scene.rows):
         if name == "centre":
             cx, cy = pts
             d = (f"M {fmt(cx - tick)} {fmt(cy + tick)} L {fmt(cx + tick)} {fmt(cy - tick)} "

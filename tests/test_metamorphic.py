@@ -109,8 +109,7 @@ def test_scene_scales_by_powers_of_two():
         samples = rng.randint(2, 64)
         base = build_scene(place_triangle(l2, l3), e, k, samples)
         big = build_scene(place_triangle(math.ldexp(l2, j), math.ldexp(l3, j)), e, k, samples)
-        if not all(np.array_equal(np.ldexp(a, j), b)
-                   for (_, a), (_, b) in zip(base.layers(), big.layers())):
+        if not all(np.array_equal(np.ldexp(a, j), b) for a, b in zip(base, big)):
             misses.append((l2, l3, e, k, j, samples))
     assert misses == []
 

@@ -57,9 +57,8 @@ def test_scene_layer_shapes(tri):
     for samples in (64, 1024):  # one per builder
         scene = build_scene(tri, 1.0, 8.0, samples)
         arc = 2 * samples + 2
-        assert [len(pts) for _, pts in scene.layers()] == [6, arc, arc, arc, 6, 4, 2]
-        assert all(type(pts) is tuple and all(type(v) is float for v in pts)
-                   for _, pts in scene.layers())
+        assert [len(pts) for pts in scene] == [6, arc, arc, arc, 6, 4, 2]
+        assert all(type(pts) is tuple and all(type(v) is float for v in pts) for pts in scene)
 
 
 def test_arc_endpoints_meet_vertices(tri):
@@ -71,7 +70,8 @@ def test_arc_endpoints_meet_vertices(tri):
         for samples in (16, 1024):  # one per builder
             scene = build_scene(t, 1.0, 8.0, samples)
             p1, p2, p3 = points(scene.triangle)
-            for arc, (start, end) in zip(scene.arcs, ((p2, p3), (p1, p2), (p3, p1))):
+            arcs = scene.arc1, scene.arc2, scene.arc3
+            for arc, (start, end) in zip(arcs, ((p2, p3), (p1, p2), (p3, p1))):
                 assert (points(arc)[0], points(arc)[-1]) == (start, end)
 
 
@@ -83,8 +83,9 @@ def test_arc_apexes_on_envelope_sides(tri):
     tri_sides = [(vertices[1], vertices[2]), (vertices[0], vertices[1]),
                  (vertices[2], vertices[0])]
     lengths = (tri.l1, tri.l2, tri.l3)
+    arcs = scene.arc1, scene.arc2, scene.arc3
     for i in range(3):
-        apex = points(scene.arcs[i])[32]
+        apex = points(arcs[i])[32]
         assert line_distance(apex, *tri_sides[i]) == approx(lengths[i] / k, rel=1e-10)
         assert line_distance(apex, *env_sides[i]) < 1e-10 * tri.l1
 
@@ -94,9 +95,10 @@ def test_arcs_bulge_outward(tri):
         scene = build_scene(t, 0.5, 4.0, 32)
         p1, p2, p3 = points(scene.triangle)
         tri_sides = [(p2, p3, p1), (p1, p2, p3), (p3, p1, p2)]
+        arcs = scene.arc1, scene.arc2, scene.arc3
         for i, (a, b, interior) in enumerate(tri_sides):
             cross = lambda p: (b[0] - a[0]) * (p[1] - a[1]) - (b[1] - a[1]) * (p[0] - a[0])
-            apex = points(scene.arcs[i])[16]
+            apex = points(arcs[i])[16]
             assert cross(apex) * cross(interior) < 0.0
 
 
@@ -128,7 +130,7 @@ def test_circle_arc_matches_direct_circle_sampling(tri):
     chord_x = arc.a * np.sin(phi)
     chord_y = arc.a * np.cos(phi) - arc.s
     direct = mid + np.outer(chord_x, t) + np.outer(chord_y, nrm)
-    assert np.abs(np.reshape(scene.arcs[0], (-1, 2))[1:-1] - direct[1:-1]).max() < 1e-10
+    assert np.abs(np.reshape(scene.arc1, (-1, 2))[1:-1] - direct[1:-1]).max() < 1e-10
 
 
 def test_json_layers_and_determinism(tri):
@@ -152,6 +154,19 @@ def test_svg_structure_and_determinism(tri):
     assert 'fill="none"' in doc
     order = [field.split('"')[0] for field in doc.split('<path id="')[1:]]
     assert order == ["triangle", "arc1", "arc2", "arc3", "envelope", "altitude", "centre"]
+
+
+LAYERS = ["triangle", "arc1", "arc2", "arc3", "envelope", "altitude", "centre"]
+
+
+def test_emission_order_is_the_field_order(tri):
+    # both emitters follow the record, so its field order is the documents' order
+    assert list(Scene._fields) == LAYERS
+    assert not hasattr(Scene, "layers") and not hasattr(Scene, "arcs")
+    for samples in (16, 1024):  # one per builder
+        scene = build_scene(tri, 1.0, 8.0, samples)
+        assert list(json.loads(scene_to_json(scene))) == LAYERS
+        assert [path.get("id") for path in ET.fromstring(scene_to_svg(scene))] == LAYERS
 
 
 # SHA-256 of (upright SVG, JSON) from the per-coordinate emitters these
@@ -220,7 +235,8 @@ def test_fmt_rows_matches_fmt():
 def test_negate_y_rows_matches_fmt(x, y):
     # every path, flipped by its transform, puts (x, y) where fmt(x) fmt(-y) does
     pt = (x + 0.0, y + 0.0)
-    svg = scene_to_svg(Scene(triangle=pt, arcs=(pt, pt, pt), envelope=pt, altitude=pt, centre=pt))
+    svg = scene_to_svg(Scene(triangle=pt, arc1=pt, arc2=pt, arc3=pt, envelope=pt, altitude=pt,
+                             centre=pt))
     paths = dict(re.findall(r'<path id="(\w+)" d="([^"]*)"', upright(svg)))
     for name in ("triangle", "arc1", "arc2", "arc3", "envelope", "altitude"):
         d = f"M {fmt(x)} {fmt(-y)}"
@@ -230,8 +246,9 @@ def test_negate_y_rows_matches_fmt(x, y):
 def edge_scene() -> Scene:
     grid = [(x + 0.0, y + 0.0) for x in EDGE for y in EDGE]  # a built layer holds no -0.0
     flat = lambda pts: tuple(v for p in pts for v in p)
-    return Scene(triangle=flat(grid[:3]), arcs=(flat(grid), flat(grid[::-1]), flat(grid[::7])),
-                 envelope=flat(grid[-3:]), altitude=flat(grid[40:42]), centre=(0.0, math.nan))
+    return Scene(triangle=flat(grid[:3]), arc1=flat(grid), arc2=flat(grid[::-1]),
+                 arc3=flat(grid[::7]), envelope=flat(grid[-3:]), altitude=flat(grid[40:42]),
+                 centre=(0.0, math.nan))
 
 
 def drawn_paths(svg: str) -> dict:
@@ -294,7 +311,7 @@ def test_svg_draws_the_json_points(case):
 
 def test_emitters_match_per_coordinate_fmt_on_edge_values():
     scene = edge_scene()
-    layers = scene.layers()
+    layers = list(zip(scene._fields, scene))
     expected_json = "{\n" + ",\n".join(
         f'  "{name}": [' + ", ".join(f"[{fmt(x)}, {fmt(y)}]" for x, y in points(pts)) + "]"
         for name, pts in layers) + "\n}\n"
@@ -320,7 +337,7 @@ def test_cached_rows_are_not_a_field(tri):
     scene = build_scene(tri, 1.0, 8.0, 16)
     scene_to_json(scene)  # fills the cache
     assert {"rows", "bounds"} <= set(vars(scene))
-    assert not {"rows", "bounds"} & set(Scene._fields) and len(scene) == len(Scene._fields) == 5
+    assert not {"rows", "bounds"} & set(Scene._fields) and len(scene) == len(Scene._fields) == 7
     copy = scene._replace()
     assert not vars(copy)
     assert copy == scene and scene == copy
@@ -329,6 +346,12 @@ def test_cached_rows_are_not_a_field(tri):
     moved = scene._replace(centre=(9.0, -9.0))
     assert '"centre": [[9, -9]]' in scene_to_json(moved)
     assert f'"centre": [[{fmt(scene.centre[0])}, {fmt(scene.centre[1])}]]' in scene_to_json(scene)
+    # a copy with one arc moved formats that arc and finds its extremes anew
+    bent = scene._replace(arc2=scene.arc2[:-2] + (99.0, -99.0))
+    assert bent.rows[2] == fmt_rows(bent.arc2) != scene.rows[2]
+    assert bent.rows[:2] + bent.rows[3:] == scene.rows[:2] + scene.rows[3:]
+    lo_x, _, _, hi_y = scene.bounds
+    assert bent.bounds == (lo_x, -99.0, 99.0, hi_y)
 
 
 def test_scenes_compare_layers_by_value(tri):
@@ -337,13 +360,14 @@ def test_scenes_compare_layers_by_value(tri):
     assert scene == again and not scene != again and hash(scene) == hash(again)
     assert scene != scene._replace(centre=(9.0, -9.0))
     assert scene != build_scene(tri, 1.0, 8.0, 32)
-    assert scene == tuple(again) and scene != scene.layers()
+    assert scene == tuple(again) and scene != list(zip(scene._fields, scene))
 
 
 def test_scene_is_an_immutable_named_tuple(tri):
     scene = build_scene(tri, 1.0, 8.0, 16)
-    triangle, arcs, envelope, altitude, centre = scene
-    assert centre is scene.centre and arcs is scene.arcs
+    triangle, arc1, arc2, arc3, envelope, altitude, centre = scene
+    assert centre is scene.centre
+    assert arc1 is scene.arc1 and arc2 is scene.arc2 and arc3 is scene.arc3
     scene_to_json(scene)  # fills the cache, which stays out of reach of setattr
     for name in ("centre", "rows", "bounds", "colour"):
         with pytest.raises(AttributeError):
@@ -360,7 +384,7 @@ def test_tiny_k_parabola_scene_warns_nothing(tri):
             scene = build_scene(tri, 1.0, 1e-9, samples)
             scene_to_svg(scene)
             scene_to_json(scene)
-        for _, pts in scene.layers():
+        for pts in scene:
             assert all(map(math.isfinite, pts))
 
 
@@ -419,6 +443,6 @@ def test_scene_bytes_do_not_depend_on_the_builder(monkeypatch):
                     outputs.append((scene_to_svg(scene), scene_to_json(scene), scene.bounds))
                 # layers hold no -0.0, and the bounds are those of every point
                 assert not any(v == 0.0 and math.copysign(1.0, v) < 0.0
-                               for _, pts in scene.layers() for v in pts)
+                               for pts in scene for v in pts)
                 assert scene._replace().bounds == scene.bounds
             assert outputs[0] == outputs[1], (e, k, n)
