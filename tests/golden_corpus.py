@@ -1,18 +1,25 @@
-"""The golden corpus: command lines whose exit codes and output bytes are pinned.
+"""The golden corpus: command lines whose exit codes and output are pinned.
 
-``PYTHONPATH=src python tests/golden_corpus.py`` rewrites ``tests/golden.tsv``
+``PYTHONPATH=src python tests/golden_corpus.py`` rewrites ``tests/golden.txt``
 from the code as it stands; ``tests/test_golden.py`` runs every row through
-``main()`` and prints each row that differs.  A change that moves an output on
-purpose regenerates the file, and the diff of the TSV lists exactly what moved.
+``main()`` and prints a unified diff of each row that differs.  A change that
+moves an output on purpose regenerates the file, and ``git diff tests/`` then
+shows each moved line, digits and all.
 
 The lines are the README's examples, the ``cli_cold`` lines of
 ``perfbench/gen.py`` for seeds 1-3, the 300 lines of the contract fuzz in
 ``test_cli.py``, every input that a FOUND or MENDED line of CHANGES.md names
-(as it behaves at the commit that pins it), and a sweep whose e and k are
--0.0.  Each row holds the arguments joined by spaces, the exit code (or the
-name of an exception that escaped ``main``), and the first 16 hex digits of
-the SHA-256 of stdout and of the stderr lines that start with ``conicarcs:``.
+and the example of ROADMAP item 14 (as they behave at the commit that pins
+them), a sweep whose e and k are -0.0, and the exact-output cases of
+``centre``, ``arclen`` and ``sweep_csv``.  Each row holds the arguments, the text of
+stdout and of the stderr lines that start with ``conicarcs:``, and the exit
+code (or the name of an exception that escaped ``main``).  A scene's stdout,
+which runs to kilobytes, is kept as the first 16 hex digits of its SHA-256.
 argparse's own text is left out, since it differs across Python versions.
+
+The file format is written out in ``HEADER``.  Every output line carries a
+prefix, so no output line can be read as a row marker, and every output comes
+back from the file byte for byte.
 """
 
 from __future__ import annotations
@@ -25,13 +32,14 @@ import math
 import random
 import shlex
 from pathlib import Path
+from typing import NamedTuple
 
 from conicarcs.cli import main
 from test_cli import fuzz_line  # this directory is on sys.path, as a script and under pytest
 from test_readme import cli_examples
 
 HERE = Path(__file__).resolve().parent
-TSV = HERE / "golden.tsv"
+CORPUS = HERE / "golden.txt"
 
 EDGE_LINES = [
     "sweep --leg2 2.6316502917382712e+172 --leg3 1.1986423241946675e-278 --e-list 2 "
@@ -72,6 +80,26 @@ EDGE_LINES = [
     "scene --leg2 1e308 --leg3 1.5e308 --e 1 --k 8",
     "centre --leg2 1000 --leg3 0.01 --k-list 1e5",
     "centre --leg2 1e100 --leg3 1e-100 --k-list 8",
+    # FOUND line 64 of CHANGES.md and ROADMAP item 14: wrong answers, pinned so that
+    # their fix shows as a diff
+    "arclen --l 1 --f 1e-201 --e 1e200",
+    "construct --l 1.7320508093009281 --f 0.5 --e 2",
+    # exact digits: centre's envelope at its default k-list, and arc_length's
+    # (length, error_estimate, evaluations) of unit-chord arcs as the integrand with
+    # two cosines per evaluation gave them (at e = 5e-324, e*cos(theta) is
+    # subnormal, where 2*e*cos(theta) and 2*(e*cos(theta)) can differ)
+    "centre --leg2 4 --leg3 3",
+    "arclen --l 1 --f 0.125 --e 0",
+    "arclen --l 1 --f 0.25 --e 0.5",
+    "arclen --l 1 --f 0.125 --e 2",
+    "arclen --l 1 --f 0.0004 --e 1000",
+    "arclen --l 1 --f 0.25 --e 5e-324",
+    # a sweep whose cells all went through conic_triple when it was pinned; its grid
+    # holds k <= 0, the exact limit (e = 0, k = 2), k = 3.7, where l/(l/k) != k on
+    # two sides, and the float just above e = 1000's limit, where the hypotenuse's
+    # l/(l/k) rounds onto the limit and conic_triple raises
+    "sweep --leg2 7 --leg3 4 --e-list 1000,2,1,0.5,0 "
+    "--k-list=2500,1999.9989999997501,8,3.7,2,0,-1",
 ]
 
 
@@ -95,33 +123,94 @@ def corpus_lines() -> list[list[str]]:
     return lines
 
 
-def _digest(text: str) -> str:
-    return hashlib.sha256(text.encode()).hexdigest()[:16]
+HEADER = """\
+# The golden corpus of conicarcs: regenerate it with
+# `PYTHONPATH=src python tests/golden_corpus.py`.
+# A row starts with "$ " and the arguments of main(). Then come "> " and each
+# line of stdout, "! " and each line of stderr that starts with "conicarcs:",
+# and "exit " and the exit code (or the name of the exception that escaped
+# main()). A stream whose last line has no newline is followed by a line
+# "\\ no newline at end". A scene's stdout is one line: "sha256 " and the first
+# 16 hex digits of its SHA-256.
+"""
+ROW, STDOUT, STDERR, NO_NEWLINE = "$ ", "> ", "! ", "\\ no newline at end"
 
 
-def outcome(argv: list[str]) -> tuple[str, str, str]:
-    """Exit code (or escaped exception's name), stdout digest, ``conicarcs:`` stderr digest."""
+class Row(NamedTuple):
+    args: str  # main()'s arguments, joined by spaces
+    code: str  # the exit code, or the name of the exception that escaped main()
+    stdout: str  # a scene's: the first 16 hex digits of its SHA-256
+    stderr: str  # the lines that start with "conicarcs:"
+
+
+def _digested(args: list[str]) -> bool:
+    return args[0] == "scene"
+
+
+def outcome(argv: list[str]) -> Row:
+    """What ``main(argv)`` returns and prints, as a corpus row."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = str(main(argv))
         except Exception as exc:
             code = type(exc).__name__
+    stdout = out.getvalue()
+    if _digested(argv):
+        stdout = hashlib.sha256(stdout.encode()).hexdigest()[:16]
     ours = "".join(line for line in err.getvalue().splitlines(keepends=True)
                    if line.startswith("conicarcs:"))
-    return code, _digest(out.getvalue()), _digest(ours)
+    return Row(" ".join(argv), code, stdout, ours)
 
 
-def read_rows() -> list[tuple[str, str, str, str]]:
-    """``(args, exit, stdout digest, stderr digest)`` per committed row."""
-    return [tuple(line.split("\t")) for line in TSV.read_text().splitlines()[1:]]
+def _prefixed(prefix: str, text: str) -> list[str]:
+    *lines, last = text.split("\n")  # last is "" when text is empty or ends with a newline
+    lines = [prefix + line for line in lines]
+    return lines + [prefix + last, NO_NEWLINE] if last else lines
+
+
+def row_lines(row: Row) -> list[str]:
+    """The file lines of one row."""
+    lines = [ROW + row.args]
+    if _digested(row.args.split(" ")):
+        lines.append(f"sha256 {row.stdout}")
+    else:
+        lines += _prefixed(STDOUT, row.stdout)
+    return lines + _prefixed(STDERR, row.stderr) + [f"exit {row.code}"]
+
+
+def write_rows(rows: list[Row], path: Path = CORPUS) -> None:
+    text = HEADER + "".join("\n" + "\n".join(row_lines(row)) + "\n" for row in rows)
+    path.write_text(text, encoding="utf-8", newline="")
+
+
+def read_rows(path: Path = CORPUS) -> list[Row]:
+    """The rows of a corpus file; the inverse of ``write_rows``."""
+    with open(path, encoding="utf-8", newline="") as f:  # only "\n" ends a line
+        text = f.read()
+    rows, streams, last = [], {}, None
+    for line in text.split("\n"):
+        tag = line[:2]
+        if tag == ROW:
+            args, streams, last = line[2:], {STDOUT: "", STDERR: ""}, None
+        elif tag in streams:
+            last = tag
+            streams[tag] += line[2:] + "\n"
+        elif line == NO_NEWLINE:
+            streams[last] = streams[last][:-1]
+        elif line.startswith("sha256 "):
+            streams[STDOUT] = line.removeprefix("sha256 ")
+        elif line.startswith("exit "):
+            rows.append(Row(args, line.removeprefix("exit "), streams[STDOUT], streams[STDERR]))
+        elif line and not line.startswith("#"):
+            raise ValueError(f"not a corpus line: {line!r}")
+    return rows
 
 
 def main_write() -> None:
-    rows = ["args\texit\tstdout_sha256\tstderr_sha256"]
-    rows += ["\t".join((" ".join(argv), *outcome(argv))) for argv in corpus_lines()]
-    TSV.write_text("\n".join(rows) + "\n")
-    print(f"wrote {len(rows) - 1} rows to {TSV}")
+    rows = [outcome(argv) for argv in corpus_lines()]
+    write_rows(rows)
+    print(f"wrote {len(rows)} rows to {CORPUS}")
 
 
 if __name__ == "__main__":

@@ -1,6 +1,5 @@
 """Arc triples on right triangles, residuals, and the sweep harness."""
 
-import hashlib
 import math
 import random
 
@@ -194,18 +193,17 @@ def test_sweep_csv_deterministic():
 
 
 def test_sweep_csv_bytes_pinned():
-    # SHA-256 pinned from a sweep that sent every cell through conic_triple.  The
-    # grid holds k <= 0, the exact limit (e = 0, k = 2), k = 3.7, where l/(l/k) != k
-    # on two sides, and the float just above e = 1000's limit, where the
-    # hypotenuse's l/(l/k) rounds onto the limit and conic_triple raises
+    # the grid of the golden corpus's row `sweep --leg2 7 --leg3 4 ...`, which pins
+    # its CSV: it holds k <= 0, the exact limit (e = 0, k = 2), k = 3.7, where
+    # l/(l/k) != k on two sides, and the float just above e = 1000's limit, where
+    # the hypotenuse's l/(l/k) rounds onto the limit and conic_triple raises
     tri = make_right_triangle(7.0, 4.0)
     k_edge = math.nextafter(feasibility_min_k(1000.0), math.inf)
+    assert k_edge == 1999.9989999997501  # as that row writes it
     assert any(l / (l / 3.7) != 3.7 for l in (tri.l1, tri.l2, tri.l3))
     assert not tri.l1 / (tri.l1 / k_edge) > feasibility_min_k(1000.0)
     rows = sweep(tri, [1000.0, 2.0, 1.0, 0.5, 0.0], [2500.0, k_edge, 8.0, 3.7, 2.0, 0.0, -1.0])
     assert [r.feasible for r in rows if r.e == 1000.0] == [False] * 6 + [True]
-    assert hashlib.sha256(sweep_csv(rows).encode()).hexdigest() == (
-        "de2eb0158330590a98649ee6006b6c0aaa84c0097b39c31a9db75e74833ade73")
 
 
 def _sweep_csv_by_fmt(rows) -> str:
