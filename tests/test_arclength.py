@@ -97,6 +97,27 @@ def test_quadrature_matches_parametric_oracle():
         assert arc_length(arc).length == approx(parametric_oracle(arc), rel=1e-10)
 
 
+def test_frozen_central_conic_values():
+    assert arc_length(construct_arc(1.0, 0.25, 0.5)).length == approx(1.1560751223644281, rel=1e-12)
+    assert arc_length(construct_arc(1.0, 0.125, 2.0)).length == approx(1.0377798008325553, rel=1e-12)
+
+
+# (length, error_estimate, evaluations) of the unit-chord arc, bit for bit as the
+# integrand with two cosines per evaluation gave them; at e = 5e-324, e*cos(theta)
+# is subnormal, where 2*e*cos(theta) and 2*(e*cos(theta)) can differ
+@pytest.mark.parametrize("e,k,expected", [
+    (0.0, 8.0, (1.0411593182891725, 1.1559190474676714e-14, 21)),
+    (0.5, 4.0, (1.156075122364428, 1.2835012190453332e-14, 21)),
+    (1.0, 8.0, (1.0402288194345508, 1.1548859862148828e-14, 21)),
+    (2.0, 8.0, (1.0377798008325552, 6.091838578212034e-14, 63)),
+    (1000.0, 2500.0, (1.0000003481832742, 2.6263690875655495e-14, 231)),
+    (5e-324, 4.0, (1.1591190225020152, 1.2868806270627424e-14, 21)),
+])
+def test_arc_length_bits_pinned(e, k, expected):
+    res = arc_length(construct_arc(1.0, 1.0 / k, e))
+    assert (res.length, res.error_estimate, res.evaluations) == expected
+
+
 def test_result_fields():
     res = arc_length(construct_arc(1.0, 0.25, 0.5))
     assert res.error_estimate >= 0.0

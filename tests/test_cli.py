@@ -161,6 +161,25 @@ def test_centre_invalid_k_prints_nothing(capsys):
     assert "error" in err
 
 
+# the exact stdout of centre: a refactor of the envelope must not move a digit;
+# centre and ratio are their exact values rounded once, and max_deviation is the
+# output rounding of the envelope's vertices
+@pytest.mark.parametrize("argv, stdout", [
+    (("--leg2", "4", "--leg3", "3"),
+     "centre_x=0.71999999999999997\n"
+     "centre_y=0.95999999999999996\n"
+     "k=4 ratio=2.0416666666666665 max_deviation=2.9605947323337506e-16\n"
+     "k=8 ratio=1.5208333333333333 max_deviation=2.9605947323337506e-16\n"
+     "k=16 ratio=1.2604166666666667 max_deviation=2.9605947323337506e-16\n"),
+    (("--leg2", "1000", "--leg3", "0.01", "--k-list", "1e5"),
+     "centre_x=4.9999999995000002e-08\n"
+     "centre_y=0.0049999999994999999\n"
+     "k=100000 ratio=3.0000000002 max_deviation=1.0641200134615491e-13\n"),
+], ids=["default-k-list", "skinny"])
+def test_centre_digits_pinned(capsys, argv, stdout):
+    assert run(capsys, "centre", *argv) == (0, stdout, "")
+
+
 # the squares of these legs leave the float range; centre and ratio are the
 # roundings of their exact values
 def test_centre_digits_where_squares_underflow(capsys):
