@@ -11,11 +11,11 @@ The lines are the README's examples, the ``cli_cold`` lines of
 ``test_cli.py``, every input that a FOUND or MENDED line of CHANGES.md names
 and the example of ROADMAP item 14 (as they behave at the commit that pins
 them), a sweep whose e and k are -0.0, and the exact-output cases of
-``centre``, ``arclen`` and ``sweep_csv``.  Each row holds the arguments, the text of
+``centre``, ``arclen`` and ``sweep_csv``, and the usage errors, help texts and
+flag forms of the CLI's parse rules.  Each row holds the arguments, the text of
 stdout and of the stderr lines that start with ``conicarcs:``, and the exit
 code (or the name of an exception that escaped ``main``).  A scene's stdout,
 which runs to kilobytes, is kept as the first 16 hex digits of its SHA-256.
-argparse's own text is left out, since it differs across Python versions.
 
 The file format is written out in ``HEADER``.  Every output line carries a
 prefix, so no output line can be read as a row marker, and every output comes
@@ -100,6 +100,18 @@ EDGE_LINES = [
     # l/(l/k) rounds onto the limit and conic_triple raises
     "sweep --leg2 7 --leg3 4 --e-list 1000,2,1,0.5,0 "
     "--k-list=2500,1999.9989999997501,8,3.7,2,0,-1",
+    # the parse rules: usage errors (exit 1, one line on stderr), help on stdout,
+    # unique prefixes of --e-list and --k-list, an ambiguous prefix, and a value
+    # after a flag that reads like a flag
+    "construct --l 1",
+    "bogus",
+    "construct --l nan --f 0.1 --e 0",
+    "arclen --l 1 --f 0.25 --e 0.5 --rel-tol 1e-6",
+    "--help",
+    "verify --help",
+    "sweep --leg2 3 --leg3 4 --e 0,1 --k 4,8",
+    "verify --leg 3 --leg3 4 --e 1 --k 8",
+    "verify --leg2 3 --leg3 4 --e 1 --k -1e5",
 ]
 
 

@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 from pytest import approx
 
-from conicarcs import construct_arc
+from conicarcs import cli, construct_arc
 from conicarcs.cli import main
 
 
@@ -325,12 +325,86 @@ def test_oracle_no_closed_form_for_ellipse(capsys):
     assert methods == ["quadrature", "polyline"]
 
 
+# -- parse rules ---------------------------------------------------------------
+
+VERIFY = ("verify", "--leg2", "3", "--leg3", "4", "--e", "1", "--k", "8")
+
+
+def test_flag_value_spaced_or_after_equals(capsys):
+    spaced = run(capsys, *VERIFY)
+    assert spaced[0] == 0
+    assert run(capsys, "verify", "--leg2=3", "--leg3=4", "--e=1", "--k=8") == spaced
+
+
+def test_unique_prefix_names_a_flag(capsys):
+    code, out, _ = run(capsys, "sweep", "--leg2", "3", "--leg3", "4", "--e", "0,1", "--k", "4,8")
+    assert code == 0
+    assert out == run(capsys, "sweep", "--leg2", "3", "--leg3", "4", "--e-list", "0,1",
+                      "--k-list", "4,8")[1]
+
+
+def test_exact_flag_name_wins_over_a_longer_flag():
+    # no command has a flag that prefixes another, so the rule is checked on its own
+    assert cli._flag("--e", ["--e", "--e-list", "--help"]) == "--e"
+    assert cli._flag("--e-", ["--e", "--e-list", "--help"]) == "--e-list"
+
+
+def test_ambiguous_prefix_exit_1(capsys):
+    assert run(capsys, "verify", "--leg", "3", "--leg3", "4", "--e", "1", "--k", "8") == (
+        1, "", "conicarcs: error: ambiguous option: --leg could match --leg2, --leg3\n")
+
+
+def test_repeated_flag_keeps_its_last_value(capsys):
+    assert run(capsys, "verify", "--leg2", "3", "--leg2", "5", "--leg3", "4", "--e", "1",
+               "--k", "8") == run(capsys, "verify", "--leg2", "5", "--leg3", "4", "--e", "1",
+                                  "--k", "8")
+
+
+# the token after a flag is its value even when it reads like a flag
+@pytest.mark.parametrize("k", ["-1.5", "-1e5"])
+def test_negative_value_after_a_flag(capsys, k):
+    code, out, err = run(capsys, *VERIFY[:-1], k)
+    assert (code, out) == (3, "")
+    assert err.startswith("conicarcs: infeasible: k = l/f = -")
+
+
 def test_usage_error_exit_1(capsys):
-    assert run(capsys, "construct", "--l", "1")[0] == 1          # missing flags
-    assert run(capsys, "bogus")[0] == 1                          # unknown command
-    assert run(capsys, "construct", "--l", "nan", "--f", "0.1", "--e", "0")[0] == 1
-    assert run(capsys, "arclen", "--l", "1", "--f", "0.25", "--e", "0.5",
-               "--rel-tol", "1e-6")[0] == 1                       # removed flag
+    """A line that does not parse exits 1 with one line on stderr, none on stdout."""
+    for argv in [
+        ("construct", "--l", "1"),                                   # missing flags
+        ("bogus",),                                                  # unknown command
+        ("construct", "--l", "nan", "--f", "0.1", "--e", "0"),
+        ("arclen", "--l", "1", "--f", "0.25", "--e", "0.5", "--rel-tol", "1e-6"),  # removed
+        (),
+        ("construct", "--l", "x", "--f", "0.1", "--e", "0"),
+        ("scene", "--leg2", "4", "--leg3", "3", "--e", "1", "--k", "8", "--samples", "1.5"),
+        ("scene", "--leg2", "4", "--leg3", "3", "--e", "1", "--k", "8", "--format", "pdf"),
+        (*VERIFY, "--threshold"),                                    # no value
+        (*VERIFY, "--"),
+        ("--help=1",),
+    ]:
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, ""), argv
+        assert re.fullmatch("conicarcs: error: [^\n]+\n", err), argv
+
+
+@pytest.mark.parametrize("argv", [("--help",), ("-h",), ("--he",), ("-h", "verify"),
+                                  ("--bogus", "--help")])
+def test_help_lists_every_command(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out.startswith("usage: conicarcs <command> [flags]\n")
+    for command in ("construct", "arclen", "verify", "sweep", "scene", "centre", "oracle"):
+        assert f"\nconicarcs {command} --" in out
+
+
+@pytest.mark.parametrize("argv", [("verify", "--help"), ("verify", "-h"), (*VERIFY, "--help"),
+                                  ("verify", "--bogus", "--h")])
+def test_command_help(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out.startswith("usage: conicarcs verify --leg2 X --leg3 X --e X --k X "
+                          "[--threshold X]\n  --threshold defaults to 1e-8\n")
 
 
 def test_negative_eccentricity_exit_1(capsys):

@@ -1,6 +1,7 @@
 """What the package root exports, what each command loads, and the result records.
 
-numpy loads only for a `scene` of more than 64 samples per arc, scipy never."""
+numpy loads only for a `scene` of more than 64 samples per arc; scipy and
+argparse never."""
 
 import os
 import subprocess
@@ -16,15 +17,15 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 # Imports the CLI, then runs each argument as a command line, in one fresh
 # interpreter; prints the exit code (or "-" after the import) and which of
-# numpy, scipy, scipy.integrate, dataclasses, inspect, fractions and decimal are
-# loaded at that point.
+# numpy, scipy, scipy.integrate, dataclasses, inspect, fractions, decimal,
+# argparse, gettext and locale are loaded at that point.
 PROBE = """
 import contextlib, io, sys
 from conicarcs.cli import main
 
 def report(rc):
     watched = ("numpy", "scipy", "scipy.integrate", "dataclasses", "inspect", "fractions",
-               "decimal")
+               "decimal", "argparse", "gettext", "locale")
     print(rc, ",".join(m for m in watched if m in sys.modules))
 
 report("-")
@@ -48,7 +49,9 @@ def report(rc):
 
 # (command line, exit code, modules loaded after it); each runs after the ones before.
 # Lengths come from the pure-Python QUADPACK port, so no command loads scipy.
+# The CLI parses its flags without argparse, so neither it nor gettext and locale load.
 STEPS = [
+    ("--help", 0, ""),
     ("construct --l 1 --f 0.25 --e 0.5", 0, ""),
     ("centre --leg2 4 --leg3 3", 0, ""),
     ("arclen --l 1 --f 0.9 --e 2", 3, ""),  # infeasible: rejected before any length
