@@ -30,16 +30,12 @@ __all__ = [
 ]
 
 
-_MAX_SUBDIVISIONS = 60
-_REL_TOL = 1e-12
-
-
 @functools.cache
-def _qags():
-    """``quadpack.qags``, imported on the first length: commands without one never compile it."""
-    from .quadpack import qags
+def _quadpack():
+    """``quadpack``, imported on the first length: commands without one never compile it."""
+    from . import quadpack
 
-    return qags
+    return quadpack
 
 
 class ArcLengthResult(NamedTuple):
@@ -60,21 +56,21 @@ def arc_length(arc: ConicArc) -> ArcLengthResult:
 
     The dimensionless integral over [-beta, beta] is evaluated first and then
     scaled by the semi-latus rectum, so equal (e, k) give bitwise-equal length
-    ratios across chords.  Raises ``QuadratureNonConvergence`` if the error
-    estimate still exceeds 1e-12 of the integral after the subdivision budget,
+    ratios across chords.  Raises ``QuadratureNonConvergence`` if the error estimate
+    still exceeds ``quadpack.EPSREL`` of the integral after ``quadpack.LIMIT`` subintervals,
     or 1 + e cos(theta) rounds to 0 at a node: both only next to the asymptote.
     """
-    e = arc.e
+    e, quadpack = arc.e, _quadpack()
     try:
-        value, abserr, evaluations = _qags()(e, arc.beta, _REL_TOL, _MAX_SUBDIVISIONS)
+        value, abserr, evaluations = quadpack.qags(e, arc.beta)
     except ZeroDivisionError:
         raise QuadratureNonConvergence(f"1 + e*cos(theta) rounds to 0 at a quadrature node "
                                        f"(e={fmt(e)}, k={fmt(arc.k)})") from None
     # judged before scaling by p, so an underflowing p cannot hide a failure; NaN fails too
-    if not abserr <= _REL_TOL * value:
+    if not abserr <= quadpack.EPSREL * value:
         raise QuadratureNonConvergence(
-            f"relative error estimate {fmt(abserr / value)} above {_REL_TOL!r} after "
-            f"{_MAX_SUBDIVISIONS} subdivisions (e={fmt(e)}, k={fmt(arc.k)})"
+            f"relative error estimate {fmt(abserr / value)} above {quadpack.EPSREL!r} after "
+            f"{quadpack.LIMIT} subdivisions (e={fmt(e)}, k={fmt(arc.k)})"
         )
     return tuple.__new__(ArcLengthResult, (arc.p * value, arc.p * abserr, evaluations))
 

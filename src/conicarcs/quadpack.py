@@ -10,7 +10,7 @@ D. K. Kahaner, *QUADPACK*, Springer 1983), specialised to
 on [-beta, beta] with no absolute tolerance.  Every floating-point operation
 is QUADPACK's, in QUADPACK's order, so ``qags`` returns bit for bit the value,
 error estimate and evaluation count of ``scipy.integrate.quad(f, -beta, beta,
-epsabs=0, epsrel=epsrel, limit=limit)``, and raises ``ZeroDivisionError``
+epsabs=0, epsrel=EPSREL, limit=LIMIT)``, and raises ``ZeroDivisionError``
 where ``1 + e cos(theta)`` rounds to 0 at a node, as the integrand does there.
 Sums are written with ``+`` in QUADPACK's order: ``sum()``, compensated from
 Python 3.12 on, ``math.fsum`` and ``math.sumprod`` would each round
@@ -35,8 +35,10 @@ second bisection is due: an arc whose first rule converges allocates none.
 
 from math import cos, sqrt
 
-__all__ = ["qags"]
+__all__ = ["EPSREL", "LIMIT", "qags"]
 
+EPSREL = 1e-12  # the relative tolerance
+LIMIT = 60  # the subdivision budget: at most LIMIT subintervals
 _EPMACH = 2.220446049250313e-16  # d1mach(4): 2**-52
 _UFLOW = 2.2250738585072014e-308  # d1mach(1): the smallest normal double
 _OFLOW = 1.7976931348623157e308  # d1mach(2): the largest double
@@ -170,7 +172,7 @@ def _even_rule(e, esq, beta):
                     f6, f6, f7, f7, f8, f8, f9, f9, f10, f10)
 
 
-def qags(e, beta, epsrel, limit):
+def qags(e, beta):
     """``dqagse`` for f on [-beta, beta] with epsabs 0: (value, abserr, neval).
 
     neval is QUADPACK's nominal count, 21 per rule and 42 * last - 21 after
@@ -178,9 +180,9 @@ def qags(e, beta, epsrel, limit):
     """
     esq = e * e
     result, abserr, resasc = _even_rule(e, esq, beta)
-    errbnd = epsrel * result  # result is |result|: f >= 0
-    if (limit == 1 or abserr == 0.0 or (abserr <= errbnd and abserr != resasc)
-            or (abserr <= 100.0 * _EPMACH * result and abserr > errbnd)):
+    errbnd = EPSREL * result  # result is |result|: f >= 0
+    # dqagse's exits for LIMIT == 1 and for errbnd < abserr <= 100 eps result never occur
+    if abserr == 0.0 or (abserr <= errbnd and abserr != resasc):
         return result, abserr, 21
     rules = {}
 
@@ -210,8 +212,8 @@ def qags(e, beta, epsrel, limit):
     stop = False  # dqagse's ier != 0
 
     # each pass bisects the subinterval with the nrmax-th largest error and
-    # leaves by break: at the latest, last == limit stops it
-    for last in range(2, limit + 1):
+    # leaves by break: at the latest, last == LIMIT stops it
+    for last in range(2, LIMIT + 1):
         a1 = alist[maxerr]
         b1 = 0.5 * (alist[maxerr] + blist[maxerr])
         a2 = b1
@@ -232,9 +234,9 @@ def qags(e, beta, epsrel, limit):
                     iroff1 += 1
             if last > 10 and erro12 > errmax:
                 iroff3 += 1
-        errbnd = epsrel * abs(area)
+        errbnd = EPSREL * abs(area)
         # roundoff, the subdivision budget, or an interval too small to bisect
-        if (iroff1 + iroff2 >= 10 or iroff3 >= 20 or last == limit
+        if (iroff1 + iroff2 >= 10 or iroff3 >= 20 or last == LIMIT
                 or max(abs(a1), abs(b2)) <= (1.0 + 100.0 * _EPMACH) * (abs(a2) + 1000.0 * _UFLOW)):
             stop = True
         if iroff2 >= 5:
@@ -257,7 +259,7 @@ def qags(e, beta, epsrel, limit):
             elist[maxerr] = error1
             elist.append(error2)
         iord.append(0)  # dqpsrt orders iord(1..last)
-        maxerr, errmax, nrmax = _sort(limit, last, maxerr, elist, iord, nrmax)
+        maxerr, errmax, nrmax = _sort(last, maxerr, elist, iord, nrmax)
         if errsum <= errbnd:
             return _sum(rlist, last), errsum, 42 * last - 21
         if stop:
@@ -283,7 +285,7 @@ def qags(e, beta, epsrel, limit):
         if not (ierro == 3 or erlarg <= ertest):
             # the smallest interval has the largest error: before extrapolating,
             # bisect the larger intervals whose errors make up erlarg
-            jupbnd = limit + 3 - last if last > 2 + limit // 2 else last
+            jupbnd = LIMIT + 3 - last if last > 2 + LIMIT // 2 else last
             larger = False
             for _ in range(nrmax, jupbnd + 1):
                 maxerr = iord[nrmax]
@@ -305,7 +307,7 @@ def qags(e, beta, epsrel, limit):
             abserr = abseps
             result = reseps
             correc = erlarg
-            ertest = epsrel * abs(reseps)
+            ertest = EPSREL * abs(reseps)
             if abserr <= ertest:
                 break
         if numrl2 == 1:
@@ -345,7 +347,7 @@ def _sum(rlist, last):
     return total
 
 
-def _sort(limit, last, maxerr, elist, iord, nrmax):
+def _sort(last, maxerr, elist, iord, nrmax):
     """``dqpsrt``: iord in descending order of elist; (maxerr, errmax, nrmax) to bisect next."""
     if last <= 2:
         iord[1] = 1
@@ -360,7 +362,7 @@ def _sort(limit, last, maxerr, elist, iord, nrmax):
             iord[nrmax] = isucc
             nrmax -= 1
         # only as many as can still be bisected are kept in order
-        jupbn = limit + 3 - last if last > limit // 2 + 2 else last
+        jupbn = LIMIT + 3 - last if last > LIMIT // 2 + 2 else last
         errmin = elist[last]
         jbnd = jupbn - 1
         # insert errmax top-down, then errmin bottom-up
@@ -390,15 +392,13 @@ def _sort(limit, last, maxerr, elist, iord, nrmax):
 
 
 def _extrapolate(n, epstab, res3la, nres):
-    """``dqelg``, Wynn's epsilon algorithm on epstab(1..n): (n, result, abserr, nres).
+    """``dqelg``, Wynn's epsilon algorithm on epstab(1..n), n >= 3: (new n, result, abserr, nres).
 
-    epstab and res3la are updated in place; n is the table's new length.
+    epstab and res3la are updated in place; ``qags`` stops extrapolating once n is 1.
     """
     nres += 1
     abserr = _OFLOW
     result = epstab[n]
-    if n < 3:
-        return n, result, max(abserr, 5.0 * _EPMACH * abs(result)), nres
     epstab[n + 2] = epstab[n]
     newelm = (n - 1) // 2
     epstab[n] = _OFLOW

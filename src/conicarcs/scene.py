@@ -106,8 +106,6 @@ def _arc_math(arc: ConicArc, n: int, a: Point, b: Point, orient: float) -> tuple
     and ``_arc_numpy``'s map onto the side, so the floats are the same bit for
     bit.  The ends are the side's vertices.
     """
-    if n < 2:
-        raise ConicError(f"need n >= 2 samples, got {n}")
     e, p, s, beta = arc.e, arc.p, arc.s, arc.beta
     step = (beta + beta) / n
     mx, my, t0, t1, n0, n1 = _frame(a, b, arc.l, orient)
@@ -140,6 +138,8 @@ def _arc_numpy(arc: ConicArc, n: int, a: Point, b: Point, orient: float) -> tupl
 def build_scene(tri: PlanarTriangle, e: float, k: float, samples: int) -> Scene:
     """Assemble the full drawing for one (e, k) family on an embedded triangle."""
     e, k = _check_feasible(e, k)  # rejects k <= 0 before any division
+    if samples < 2:
+        raise ConicError(f"need samples >= 2 per arc, got {samples}")
     orient = 1.0 if tri._area2 > 0 else -1.0  # outward: to the right of a counter-clockwise side
     build = _arc_math if samples <= _MATH_SAMPLES else _arc_numpy
     arcs, boxes = zip(*(build(construct_arc(l, l / k, e), samples, a, b, orient)

@@ -112,6 +112,8 @@ EDGE_LINES = [
     "sweep --leg2 3 --leg3 4 --e 0,1 --k 4,8",
     "verify --leg 3 --leg3 4 --e 1 --k 8",
     "verify --leg2 3 --leg3 4 --e 1 --k -1e5",
+    # too few samples per arc: the message names --samples
+    "scene --leg2 4 --leg3 3 --e 1 --k 8 --samples 0",
 ]
 
 

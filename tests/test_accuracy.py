@@ -1,7 +1,8 @@
 """The accuracy table: each row names a quantity, a band of inputs, a reference and a
 bound.  A row's sampler draws its band, seeded with its name; ``check(*case)`` gives a
 case's error in the bound's unit and the labels the row's coverage counts; raising, or
-an error of nan, fails the case.  A failing row reports its worst input.  A band never
+an error of nan, fails the case.  A failing row reports its worst input and, for each label
+of a failed case, the share of that label's cases that passed.  A band never
 narrows: a fix widens its row's band, or tightens its bound, in the same diff."""
 
 import functools
@@ -14,9 +15,9 @@ from pathlib import Path
 
 import pytest
 
-from conicarcs import (PlanarTriangle, altitude_from_right_angle, arc_length, conic_triple,
-                       construct_arc, feasibility_min_k, make_right_triangle, place_triangle,
-                       sweep)
+from conicarcs import (InfeasibleSagitta, PlanarTriangle, QuadratureNonConvergence,
+                       altitude_from_right_angle, arc_length, conic_triple, construct_arc,
+                       feasibility_min_k, g_factor, make_right_triangle, place_triangle, sweep)
 from test_homothety import check_exact, exact_placed, rounded
 
 
@@ -126,6 +127,37 @@ def length(e, k, f):
         return float(error / truth), ()
 
 
+def near_limit_arcs(rng):  # ROADMAP's sample: delta = k/k_min - 1 in 1e-15..1, with circles
+    for i in range(10000):  # and parabolas (k 1e-6..1e8); the cases of the claimed strata
+        e = (0.0, rng.uniform(0.0, 3.0), 1.0 + rng.choice((-1.0, 1.0)) * decades(rng, -12.0, -1.0),
+             decades(rng, -8.0, 3.0), 1.0)[i % 5]
+        k_min, delta = 2.0 * math.sqrt(abs(float(1 - Fraction(e) ** 2))), decades(rng, -15.0, 0.0)
+        k = k_min * (1.0 + delta) if k_min else decades(rng, -6.0, 8.0)
+        kind = "circle" if e == 0.0 else "ellipse" if e < 1.0 else "hyperbola" if k_min else "parabola"
+        sub = rng.random() < 1 / 60  # about 100 of the accurate cases
+        if (kind == "circle" or kind == "ellipse" and k >= 1e-3 or kind == "parabola" and k >= 1e-2
+                or kind == "hyperbola" and delta >= 1e-3 and k >= 0.1):
+            # QAGS misses 3e-14 below k 0.1, and for hyperbolas below delta 0.1 or k 1
+            accurate = k >= 0.1 and (kind != "hyperbola" or delta >= 0.1 and k >= 1.0)
+            stratum = f"{kind} delta 1e{math.floor(math.log10(delta))} " if k_min else "parabola "
+            yield e, k, stratum + f"k 1e{math.floor(math.log10(k))}", sub and accurate
+
+
+def answered(e, k, stratum, reference):  # a length if feasible, else InfeasibleSagitta
+    if not Fraction(k) ** 2 > 4 * abs(1 - Fraction(e) ** 2):
+        with pytest.raises(InfeasibleSagitta):
+            g_factor(e, k)
+        return 0.0, (stratum,)
+    try:
+        g = g_factor(e, k)
+    except QuadratureNonConvergence:
+        return math.inf, (stratum,)
+    if not reference:
+        return 0.0, (stratum,)
+    oracle = perfbench_oracle()
+    return oracle.rel_err(g, oracle.g_reference(e, k)), (stratum,)
+
+
 def needle(rng):  # a vertex 1e-290..1e-3 of the size from another one or from their side
     size, width = decades(rng, -3.0, 3.0), decades(rng, -290.0, -3.0)
     pts = [(0.0, 0.0), (size, 0.0), (rng.choice((0.0, 1.0, rng.random())) * size, width * size)]
@@ -160,6 +192,11 @@ ROWS = [
     ("lengths", "arc_length, within its error_estimate <= 1e-12", "k 1.1 k_min (0.1 for the "
      "parabola) to 1e4, every class", "g_reference", 3e-14, "relative",
      lambda rng: (interior(rng, i) for i in range(60)), length, {}),
+    ("answered", "g_factor returns, and is within 3e-14 on about 100 cases with k >= 0.1 "
+     "(hyperbolas: k >= 1, delta >= 0.1)", "delta = k/k_min - 1 from 1e-15 to 1: circles, "
+     "ellipses with k >= 1e-3, parabolas with k >= 1e-2, hyperbolas with delta >= 1e-3 and "
+     "k >= 0.1", "k^2 > 4 |1 - e^2| in Fractions; g_reference", 3e-14, "relative",
+     near_limit_arcs, answered, {}),
     ("residual", "conic_triple's and sweep's residual", "2,000 triangles of every shape, "
      "1,000 right triangles, 1,000 needles, (e, k) as for lengths", "the law of cosines",
      4 * 3e-14 / 2.0 ** -52, "eps x ((l2 + l3)/max(l1, l2, l3))^2, as two lengths within "
@@ -172,16 +209,20 @@ ROWS = [
 @pytest.mark.parametrize("row", ROWS, ids=[row[0] for row in ROWS])
 def test_row(row):
     name, quantity, band, _, bound, unit, sampler, check, coverage = row
-    worst, over, counts = (-1.0, None, ""), 0, Counter()
+    worst, over, counts, missed = (-1.0, None, ""), 0, Counter(), Counter()
     for case in sampler(random.Random(name)):
         try:
             (err, labels), note = check(*case), ""
         except Exception as exc:  # a wrong value, a refusal or an oracle disagreement
             err, labels, note = math.inf, (), f": {exc!r}"
-        over += not err <= bound  # nan too
+        if not err <= bound:  # nan too
+            over += 1
+            missed.update(labels)
         counts.update(labels)
         worst = max(worst, (err, case, note), key=lambda w: w[0])
     short = {label: counts[label] for label, least in coverage.items() if counts[label] < least}
+    passed = {label: f"{counts[label] - missed[label]}/{counts[label]}" for label in missed}
     assert not over and not short, (
         f"{quantity} on {band}: {over} cases raise or exceed {bound} {unit}; worst "
-        f"{worst[0]:.3g} at {worst[1]}{worst[2]}; too few cases {short} of {coverage}")
+        f"{worst[0]:.3g} at {worst[1]}{worst[2]}; passed per label {passed}; too few cases "
+        f"{short} of {coverage}")

@@ -22,6 +22,7 @@ from conicarcs import (
     sample_points,
 )
 from conicarcs.oracle import closed_form_circle, closed_form_parabola, polyline_length
+from conicarcs.quadpack import _EPMACH, EPSREL, LIMIT, qags
 from conicarcs.textfmt import fmt
 
 GRID_E = [0.0, 0.3, 0.7, 1.0, 1.5, 3.0]
@@ -265,8 +266,8 @@ def test_nonconvergence_judged_before_scaling():
 
 
 def scipy_quad_outcome(e, beta):
-    """(value, abserr, neval) of scipy's compiled QUADPACK for arc_length's integrand, or
-    the name of the exception the integrand raised."""
+    """(value, abserr, neval) of scipy's compiled QUADPACK for arc_length's integrand at
+    qags's setting, or the name of the exception the integrand raised."""
 
     def integrand(theta):
         c = e * math.cos(theta)
@@ -275,7 +276,7 @@ def scipy_quad_outcome(e, beta):
 
     try:
         value, abserr, info = quad(integrand, -beta, beta, full_output=1, epsabs=0.0,
-                                   epsrel=1e-12, limit=60)[:3]
+                                   epsrel=EPSREL, limit=LIMIT)[:3]
     except ZeroDivisionError as exc:
         return type(exc).__name__
     return value, abserr, info["neval"]
@@ -307,21 +308,19 @@ def test_qags_matches_scipy_quad_bitwise():
     # the pure-Python QAGS returns scipy's (value, abserr, neval) bit for bit, also where
     # the 60-subdivision budget runs out, and raises where scipy's integrand raises:
     # first at a pole on a node (the arc of test_integrand_pole_at_a_node_raises_nonconvergence)
-    from conicarcs.quadpack import qags
-
     pole = construct_arc(0.8193141995619333, 0.4497990671475703, 1.3525812688823207)
     arcs = [pole] + seeded_arcs(2400)
     mismatches, paths = [], dict.fromkeys(("first rule", "one bisection", "several", "budget"), 0)
     for arc in arcs:
         expected = scipy_quad_outcome(arc.e, arc.beta)
         try:
-            got = qags(arc.e, arc.beta, 1e-12, 60)
+            got = qags(arc.e, arc.beta)
         except ZeroDivisionError as exc:
             got = type(exc).__name__
         if isinstance(expected, tuple):  # the path is read off neval = 42 * last - 21
             neval = expected[2]
             paths["first rule" if neval == 21 else "one bisection" if neval == 63
-                  else "budget" if neval == 42 * 60 - 21 else "several"] += 1
+                  else "budget" if neval == 42 * LIMIT - 21 else "several"] += 1
         # repr round-trips a float: equal text is equal bits, -0.0 and nan included
         if repr(got) != repr(expected):
             mismatches.append((arc.e, arc.k, expected, got))
@@ -331,6 +330,8 @@ def test_qags_matches_scipy_quad_bitwise():
     # tables, no epsilon table), several (the epsilon table) and the whole budget
     floors = {"first rule": 1000, "one bisection": 100, "several": 500, "budget": 50}
     assert all(paths[path] >= floor for path, floor in floors.items()), paths
+    # qags drops dqagse's first-rule exit for abserr in (EPSREL * result, 100 eps * result]
+    assert EPSREL > 100 * _EPMACH
 
 
 @pytest.mark.parametrize("e, k_over_min", [(0.5, 3.0), (1.0, 2.0), (2.0, 1.5), (3.0, 1.0 + 1e-6)])
@@ -338,9 +339,7 @@ def test_qagse_matches_scipy_quad(e, k_over_min):
     # the pure-Python port of QUADPACK's qagse agrees bitwise with the compiled routine
     # scipy.integrate.quad runs on a finite interval: value, error estimate and
     # evaluation count (the last case needs 40 subdivisions)
-    from conicarcs.quadpack import qags
-
     k = max(feasibility_min_k(e), 1.0) * k_over_min
     beta = construct_arc(1.0, 1.0 / k, e).beta
     expected = scipy_quad_outcome(e, beta)
-    assert repr(qags(e, beta, 1e-12, 60)) == repr(expected)
+    assert repr(qags(e, beta)) == repr(expected)

@@ -55,6 +55,12 @@ def test_arclen_just_below_the_exact_limit_exit_3(capsys):
     assert "must exceed 0.0039999979999459888" in err
 
 
+def test_scene_too_few_samples_exit_1_names_samples(capsys):
+    code, out, err = run(capsys, "scene", "--leg2", "4", "--leg3", "3", "--e", "1", "--k", "8",
+                         "--samples", "0")
+    assert (code, out, err) == (1, "", "conicarcs: error: need samples >= 2 per arc, got 0\n")
+
+
 def test_arclen_output(capsys):
     code, out, _ = run(capsys, "arclen", "--l", "1", "--f", "0.125", "--e", "1")
     assert code == 0
