@@ -10,7 +10,8 @@ The lines are the README's examples, the ``cli_cold`` lines of
 ``perfbench/gen.py`` for seeds 1-3, the 300 lines of the contract fuzz in
 ``test_cli.py``, every input that a FOUND or MENDED line of CHANGES.md names
 and the example of ROADMAP item 14 (as they behave at the commit that pins
-them), a sweep whose e and k are -0.0, and the exact-output cases of
+them), a sweep whose e and k are -0.0, a sweep large enough to split over
+processes, and the exact-output cases of
 ``centre``, ``arclen`` and ``sweep_csv``, and the usage errors, help texts and
 flag forms of the CLI's parse rules.  Each row holds the arguments, the text of
 stdout and of the stderr lines that start with ``conicarcs:``, and the exit
@@ -114,6 +115,10 @@ EDGE_LINES = [
     "verify --leg2 3 --leg3 4 --e 1 --k -1e5",
     # too few samples per arc: the message names --samples
     "scene --leg2 4 --leg3 3 --e 1 --k 8 --samples 0",
+    # 185 feasible cells, more than two processes' triples._SPLIT_CELLS: where two CPUs
+    # allow, the sweep is split, and its rows must be the serial loop's
+    "sweep --leg2 3 --leg3 4 --e-list 0,0.2,0.4,0.6,0.8,1,1.2,1.4,1.6,1.8,2,2.2,2.4,2.6,2.8,3 "
+    "--k-list 0.5,1,1.5,2,2.5,3,4,5,6,8,10,16,25,50,100,200",
 ]
 
 

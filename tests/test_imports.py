@@ -18,14 +18,14 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 # Imports the CLI, then runs each argument as a command line, in one fresh
 # interpreter; prints the exit code (or "-" after the import) and which of
 # numpy, scipy, scipy.integrate, dataclasses, inspect, fractions, decimal,
-# argparse, gettext and locale are loaded at that point.
+# argparse, gettext, locale, pickle and signal are loaded at that point.
 PROBE = """
 import contextlib, io, sys
 from conicarcs.cli import main
 
 def report(rc):
     watched = ("numpy", "scipy", "scipy.integrate", "dataclasses", "inspect", "fractions",
-               "decimal", "argparse", "gettext", "locale")
+               "decimal", "argparse", "gettext", "locale", "pickle", "signal")
     print(rc, ",".join(m for m in watched if m in sys.modules))
 
 report("-")
@@ -50,6 +50,8 @@ def report(rc):
 # (command line, exit code, modules loaded after it); each runs after the ones before.
 # Lengths come from the pure-Python QUADPACK port, so no command loads scipy.
 # The CLI parses its flags without argparse, so neither it nor gettext and locale load.
+# No command loads pickle: a sweep split over processes sends its rows in marshal's
+# format, and only such a sweep loads signal; this one's 6 cells run serially.
 STEPS = [
     ("--help", 0, ""),
     ("construct --l 1 --f 0.25 --e 0.5", 0, ""),
@@ -74,12 +76,15 @@ def _run(code, *argv):
 def test_cli_loads_numpy_and_scipy_only_when_needed():
     out = _run(PROBE, *(line for line, _, _ in STEPS))
     got = [line.split(" ") for line in out.splitlines()]
-    # conicarcs loads neither dataclasses nor inspect; numpy may import inspect itself
-    assert all("inspect" not in loaded or "numpy" in loaded for _, loaded in got)
+    # conicarcs loads neither dataclasses nor inspect; numpy may import inspect and
+    # pickle itself
+    by_numpy = ("inspect", "pickle")
+    assert all(m not in loaded or "numpy" in loaded for _, loaded in got for m in by_numpy)
     # the homothety computes in plain int: no command loads fractions or decimal
     assert not any(m in loaded.split(",") for _, loaded in got for m in ("fractions", "decimal"))
     expected = [["-", ""]] + [[str(rc), loaded] for _, rc, loaded in STEPS]
-    assert [[rc, loaded.replace(",inspect", "")] for rc, loaded in got] == expected
+    assert [[rc, ",".join(m for m in loaded.split(",") if m not in by_numpy)]
+            for rc, loaded in got] == expected
 
 
 # Checks that are not part of the workflow (closed forms, the polyline and the

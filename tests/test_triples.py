@@ -1,7 +1,13 @@
 """Arc triples on right triangles, residuals, and the sweep harness."""
 
+import errno
 import math
+import os
 import random
+import signal
+import sys
+import threading
+import time
 
 import pytest
 from pytest import approx
@@ -10,6 +16,7 @@ from conicarcs import (
     ConicError,
     InfeasibleSagitta,
     PlanarTriangle,
+    QuadratureNonConvergence,
     arc_length,
     build_scene,
     conic_triple,
@@ -21,6 +28,7 @@ from conicarcs import (
     sweep,
     sweep_csv,
 )
+from conicarcs import triples
 from conicarcs.textfmt import fmt
 from conicarcs.triples import SWEEP_CSV_HEADER, _residual
 
@@ -257,3 +265,156 @@ def test_triple_lengths_equal_single_arc_lengths_bitwise():
             assert list(conic_triple(tri, row.e, row.k).lengths) == single
             rounded += any(l / (l / row.k) != row.k for l in sides)
     assert rounded > 0
+
+
+# -- a sweep split over processes ---------------------------------------------
+
+CPUS = len(os.sched_getaffinity(0)) if sys.platform == "linux" else 1
+
+
+def _feasible_cells(e_values, k_values) -> int:
+    return sum(k > feasibility_min_k(e) for e in e_values for k in k_values)
+
+
+def _outcome(tri, e_values, k_values):
+    """A sweep's rows and CSV as bit patterns, or the type and text of what it raised."""
+    try:
+        rows = sweep(tri, e_values, k_values)
+    except Exception as exc:
+        return type(exc), str(exc)
+    bits = [tuple(v.hex() if isinstance(v, float) else v for v in row) for row in rows]
+    return bits, sweep_csv(rows)
+
+
+def _serial_and_split(monkeypatch, tri, e_values, k_values, per_process):
+    """The sweep's outcome in one process, then with ``_SPLIT_CELLS`` at per_process,
+    and the number of workers forked for the second."""
+    forks, fork = [], os.fork
+
+    def counted():
+        forks.append(os.getpid())
+        return fork()
+
+    if sys.platform == "linux":  # see conftest.py
+        assert len(os.listdir("/proc/self/task")) == 1, "a thread runs: no sweep would split"
+    monkeypatch.setattr(triples, "_SPLIT_CELLS", 1 << 62)
+    serial = _outcome(tri, e_values, k_values)
+    monkeypatch.setattr(triples, "_SPLIT_CELLS", per_process)
+    monkeypatch.setattr(os, "fork", counted)
+    split = _outcome(tri, e_values, k_values)
+    monkeypatch.setattr(os, "fork", fork)
+    with pytest.raises(ChildProcessError):  # every worker was reaped
+        os.waitpid(-1, os.WNOHANG)
+    return serial, split, len(forks)
+
+
+def test_split_rows_are_bitwise_the_serial_rows(monkeypatch):
+    rng = random.Random(3)
+    tri = make_right_triangle(3.7, 4.123456789)
+    e_values = [-0.0, 0.0, 1.0] + [rng.uniform(0.0, 3.0) for _ in range(11)]
+    k_values = [10.0 ** rng.uniform(math.log10(0.5), math.log10(200.0)) for _ in range(14)]
+    k_values += [feasibility_min_k(e) * 1.001 for e in e_values[3:6]]  # cells that subdivide
+    cells = _feasible_cells(e_values, k_values)
+    serial, split, forks = _serial_and_split(monkeypatch, tri, e_values, k_values, 8)
+    assert split == serial and isinstance(serial[0], list)
+    assert {row[2] for row in serial[0]} == {True, False}
+    assert forks == min(CPUS, cells // 8) - 1 and forks + 1 <= CPUS
+
+
+# The first failing cell in grid order is FOUND line 21's overflowing l/k (k = 5e-324
+# at e = 1) or ROADMAP item 17's non-convergent e = 2, k = 3.4641017.  Split over two
+# processes, the parent takes feasible cells 0, 2, 4, ... and the worker 1, 3, 5, ...
+FAILING_GRIDS = [
+    # cell 1 (worker) overflows, cell 3 (worker) does not converge
+    ([0.0, 1.0, 2.0], [5e-324, 3.4641017]),
+    # cell 3 (worker, e = 2) does not converge, then cell 6 (parent, e = 3)
+    ([0.0, 2.0, 3.0], [3.4641017, 5.6568543, 8.0]),
+    # cell 2 (parent) overflows, cell 5 (worker) does not converge
+    ([0.5, 1.0, 2.0], [5e-324, 3.4641017, 8.0]),
+]
+
+
+@pytest.mark.parametrize("e_values, k_values", FAILING_GRIDS)
+def test_split_raises_the_first_failing_cell_as_serially(monkeypatch, e_values, k_values):
+    tri = make_right_triangle(3.0, 4.0)
+    cells = _feasible_cells(e_values, k_values)
+    serial, split, forks = _serial_and_split(monkeypatch, tri, e_values, k_values, cells // 2)
+    assert split == serial and serial[0] in (ConicError, QuadratureNonConvergence)
+    assert forks == min(CPUS, 2) - 1
+
+
+def test_a_worker_that_dies_leaves_its_cells_to_the_parent(monkeypatch):
+    tri = make_right_triangle(3.0, 4.0)
+    e_values, k_values = [0.0, 0.5, 1.0, 2.0], [3.0, 4.0, 8.0, 16.0, 100.0]
+    parent, cell, computed, worker_cells = os.getpid(), triples._cell, [], []
+
+    def dying(tri, e, k):  # a worker kills itself at its third cell
+        if os.getpid() == parent:
+            computed.append((e, k))
+        else:
+            worker_cells.append((e, k))  # the worker's own copy of the list
+            if len(worker_cells) == 3:
+                os.kill(os.getpid(), signal.SIGKILL)
+        return cell(tri, e, k)
+
+    monkeypatch.setattr(triples, "_cell", dying)
+    feasible = _feasible_cells(e_values, k_values)
+    serial, split, forks = _serial_and_split(monkeypatch, tri, e_values, k_values, feasible // 2)
+    assert split == serial and forks == min(CPUS, 2) - 1
+    assert len(computed) == 2 * feasible  # the parent computed every cell of the split too
+
+
+def test_a_fork_that_fails_leaves_its_cells_to_the_parent(monkeypatch):
+    def no_fork():
+        raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+
+    tri, e_values, k_values = make_right_triangle(3.0, 4.0), [0.0, 1.0, 2.0], [3.0, 8.0, 16.0]
+    expected = sweep(tri, e_values, k_values)
+    monkeypatch.setattr(triples, "_SPLIT_CELLS", 2)
+    monkeypatch.setattr(os, "fork", no_fork)
+    assert sweep(tri, e_values, k_values) == expected
+
+
+def test_an_exception_in_the_parent_kills_and_reaps_the_workers(monkeypatch):
+    class Interrupt(BaseException):
+        pass
+
+    parent, cell, started = os.getpid(), triples._cell, []
+
+    def interrupted(tri, e, k):  # the parent is interrupted at its second cell
+        if os.getpid() != parent:
+            time.sleep(60)  # a worker that would hold a reaping parent for a minute
+        started.append((e, k))
+        if len(started) == 2:
+            raise Interrupt
+        return cell(tri, e, k)
+
+    monkeypatch.setattr(triples, "_cell", interrupted)
+    monkeypatch.setattr(triples, "_SPLIT_CELLS", 2)
+    t0 = time.monotonic()
+    with pytest.raises(Interrupt):
+        sweep(make_right_triangle(3.0, 4.0), [0.0, 1.0, 2.0], [3.0, 4.0, 8.0, 16.0])
+    assert time.monotonic() - t0 < 30.0  # the workers were killed, not waited for
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_small_grids_and_threaded_processes_stay_serial(monkeypatch):
+    forks, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    tri = make_right_triangle(3.0, 4.0)
+    # 2 * _SPLIT_CELLS - 1 feasible cells: below the split in one process
+    k_values = [8.0 + i for i in range(2 * triples._SPLIT_CELLS - 1)]
+    sweep(tri, [0.5], k_values)
+    assert forks == []
+    # a second thread running: a fork would copy only this one, so no split at any size
+    monkeypatch.setattr(triples, "_SPLIT_CELLS", 1)
+    release = threading.Event()
+    other = threading.Thread(target=release.wait)
+    other.start()
+    try:
+        assert sweep(tri, [0.5, 1.0], [8.0, 16.0])[3].feasible
+    finally:
+        release.set()
+        other.join()
+    assert forks == []
