@@ -237,10 +237,10 @@ def main(argv: list[str] | None = None) -> int:
     except InfeasibleSagitta as exc:
         print(f"conicarcs: infeasible: {exc}", file=sys.stderr)
         return 3
-    # a usage error is a ValueError too; MemoryError: numpy refuses the arrays
-    # of a huge --samples
+    # a usage error is a ValueError too; MemoryError: a huge --samples, whose
+    # points fit in no numpy array or Python list (a list's says nothing more)
     except (ValueError, MemoryError, QuadratureNonConvergence) as exc:
-        print(f"conicarcs: error: {exc}", file=sys.stderr)
+        print(f"conicarcs: error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 
 

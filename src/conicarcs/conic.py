@@ -192,11 +192,14 @@ def sample_points(arc: ConicArc, n: int) -> np.ndarray:
 
     Returns an (n+1, 2) array of chord-frame points running from (-l/2, 0) to
     (l/2, 0); both endpoints are exact and for even n the middle sample is the
-    apex (0, f) to rounding error.
+    apex (0, f) to rounding error.  Needs numpy, an optional extra.
     """
     if n < 2:
         raise ConicError(f"need n >= 2 samples, got {n}")
-    import numpy as np
+    try:
+        import numpy as np
+    except ImportError:
+        raise ImportError("sample_points needs numpy: pip install 'conicarcs[numpy]'") from None
 
     theta = np.linspace(-arc.beta, arc.beta, n + 1)
     if n % 2 == 0:

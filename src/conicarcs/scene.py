@@ -9,7 +9,8 @@ per layer) both follow that order, so identical input gives identical bytes.
 
 An arc of at most ``_MATH_SAMPLES`` samples is built with ``math`` alone, so a
 scene of the default size loads no numpy; a larger one goes through numpy's
-``sample_points``, which is faster there.  Both give the same floats bit for bit.
+``sample_points``, which is faster there, when numpy is installed, and is built
+with ``math`` otherwise.  Both give the same floats bit for bit.
 """
 
 from __future__ import annotations
@@ -33,9 +34,10 @@ from .textfmt import fmt
 
 __all__ = ["Scene", "build_scene", "scene_to_json", "scene_to_svg"]
 
-# Samples per arc up to which the pure-``math`` builder runs.  In one process
-# with numpy loaded, the two builders took equal time at about 64 samples, and
-# numpy's was 1.2-1.3x faster at 80-96; a cold scene pays numpy's import besides.
+# Samples per arc up to which the pure-``math`` builder runs; above it, numpy's
+# runs if numpy imports.  In one process with numpy loaded, the two builders took
+# equal time at about 64 samples, and numpy's was 1.2-1.3x faster at 80-96 and
+# 3-5x at 8,192; a cold scene pays numpy's import besides.
 _MATH_SAMPLES = 64
 
 Layer = tuple[float, ...]  # (x0, y0, x1, y1, ...)
@@ -109,14 +111,15 @@ def _arc_math(arc: ConicArc, n: int, a: Point, b: Point, orient: float) -> tuple
     e, p, s, beta = arc.e, arc.p, arc.s, arc.beta
     step = (beta + beta) / n
     mx, my, t0, t1, n0, n1 = _frame(a, b, arc.l, orient)
-    flat = [a.x + 0.0, a.y + 0.0]
+    flat = [0.0, 0.0] * (n + 1)  # sized first: an n too large for memory fails here
+    flat[0], flat[1], flat[-2], flat[-1] = a.x + 0.0, a.y + 0.0, b.x + 0.0, b.y + 0.0
     for i in range(1, n):
         theta = 0.0 if i + i == n else i * step - beta
         c = math.cos(theta)
         r = p / (1.0 + e * c)
         x, y = r * math.sin(theta), c * r - s
-        flat += mx + x * t0 + y * n0 + 0.0, my + x * t1 + y * n1 + 0.0
-    flat += b.x + 0.0, b.y + 0.0
+        flat[i + i] = mx + x * t0 + y * n0 + 0.0
+        flat[i + i + 1] = my + x * t1 + y * n1 + 0.0
     return tuple(flat), _extremes(flat)
 
 
@@ -141,7 +144,13 @@ def build_scene(tri: PlanarTriangle, e: float, k: float, samples: int) -> Scene:
     if samples < 2:
         raise ConicError(f"need samples >= 2 per arc, got {samples}")
     orient = 1.0 if tri._area2 > 0 else -1.0  # outward: to the right of a counter-clockwise side
-    build = _arc_math if samples <= _MATH_SAMPLES else _arc_numpy
+    build = _arc_math
+    if samples > _MATH_SAMPLES:
+        try:
+            import numpy  # noqa: F401  the faster builder, where numpy is installed
+            build = _arc_numpy
+        except ImportError:
+            pass
     arcs, boxes = zip(*(build(construct_arc(l, l / k, e), samples, a, b, orient)
                         for a, b, l in _sides(tri)))
     env = enveloping_triangle(tri, k)

@@ -113,8 +113,9 @@ EDGE_LINES = [
     "sweep --leg2 3 --leg3 4 --e 0,1 --k 4,8",
     "verify --leg 3 --leg3 4 --e 1 --k 8",
     "verify --leg2 3 --leg3 4 --e 1 --k -1e5",
-    # too few samples per arc: the message names --samples
+    # too few samples per arc: the message names --samples; too few for the polyline
     "scene --leg2 4 --leg3 3 --e 1 --k 8 --samples 0",
+    "oracle --l 1 --f 0.25 --e 0.5 --n 1",
     # 185 feasible cells, more than two processes' triples._SPLIT_CELLS: where two CPUs
     # allow, the sweep is split, and its rows must be the serial loop's
     "sweep --leg2 3 --leg3 4 --e-list 0,0.2,0.4,0.6,0.8,1,1.2,1.4,1.6,1.8,2,2.2,2.4,2.6,2.8,3 "

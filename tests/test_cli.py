@@ -290,21 +290,28 @@ def test_scene_legs_at_both_float_range_ends_exit_1(capsys, legs, k):
 
 
 # a MemoryError, which is not a ValueError, exits 1 from any command; only a huge
-# --samples can still make numpy refuse an allocation.  Patched here, so that no
-# test asks for the memory
-@pytest.mark.parametrize("module, name, argv", [
-    ("oracle", "polyline_length", ("oracle", "--l", "1", "--f", "0.1", "--e", "1")),
-    ("scene", "sample_points",  # above the 64 samples that the pure-Python arcs take
-     ("scene", "--leg2", "4", "--leg3", "3", "--e", "1", "--k", "8", "--samples", "1024")),
-], ids=["oracle", "scene"])
-def test_memory_error_exit_1(capsys, monkeypatch, module, name, argv):
-    message = "Unable to allocate 745. GiB for an array"
+# --samples can still raise one: numpy refuses the array, or, without numpy, the
+# pure-Python builder its list, whose MemoryError has no text.  Patched here, so
+# that no test asks for the memory
+LARGE_SCENE = ("scene", "--leg2", "4", "--leg3", "3", "--e", "1", "--k", "8", "--samples", "1024")
+NUMPY_REFUSES = "Unable to allocate 745. GiB for an array"
 
+
+@pytest.mark.parametrize("module, name, argv, numpy, message", [
+    ("oracle", "polyline_length", ("oracle", "--l", "1", "--f", "0.1", "--e", "1"), True,
+     NUMPY_REFUSES),
+    # above the 64 samples that the pure-Python arcs take
+    ("scene", "sample_points", LARGE_SCENE, True, NUMPY_REFUSES),
+    ("scene", "_arc_math", LARGE_SCENE, False, ""),
+], ids=["oracle", "scene", "scene-without-numpy"])
+def test_memory_error_exit_1(capsys, monkeypatch, module, name, argv, numpy, message):
     def refuse(*args):
         raise MemoryError(message)
 
     monkeypatch.setattr(f"conicarcs.{module}.{name}", refuse)
-    assert run(capsys, *argv) == (1, "", f"conicarcs: error: {message}\n")
+    if not numpy:
+        monkeypatch.setitem(sys.modules, "numpy", None)
+    assert run(capsys, *argv) == (1, "", f"conicarcs: error: {message or 'MemoryError'}\n")
 
 
 def test_empty_list_flag_exit_1(capsys):

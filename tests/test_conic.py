@@ -1,6 +1,7 @@
 """Construction, angles, feasibility, and sampling of single arcs."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -376,6 +377,14 @@ def test_sample_points_degenerate_count():
     arc = construct_arc(1.0, 0.25, 0.5)
     with pytest.raises(ConicError, match="need n >= 2 samples"):
         sample_points(arc, 1)
+
+
+def test_sample_points_without_numpy_names_the_extra(monkeypatch):
+    monkeypatch.setitem(sys.modules, "numpy", None)
+    with pytest.raises(ImportError) as info:
+        sample_points(construct_arc(1.0, 0.25, 0.5), 8)
+    assert type(info.value) is ImportError  # not the bare ModuleNotFoundError
+    assert str(info.value) == "sample_points needs numpy: pip install 'conicarcs[numpy]'"
 
 
 def test_chord_sagitta_ratio_is_derived():

@@ -5,6 +5,7 @@ against what ``main()`` gives now, so the moved digits show in the failure.
 """
 
 import difflib
+import sys
 
 from golden_corpus import Row, corpus_lines, outcome, read_rows, row_lines, write_rows
 
@@ -40,3 +41,18 @@ def test_golden_corpus_unchanged():
                                           f"main(): {row.args}", lineterm="")
     assert not diffs, ("rows differ (if intended, regenerate with "
                        "`PYTHONPATH=src python tests/golden_corpus.py`):\n" + "\n".join(diffs))
+
+
+# Without numpy, a scene of more than 64 samples per arc is built in pure Python,
+# as one of at most 64 always is: the corpus's scene rows, its 12 at 100 samples
+# included, and a 1,001-sample scene in both formats print the bytes that numpy's
+# builder gives.
+def test_scene_rows_without_numpy(monkeypatch):
+    rows = [row for row in read_rows() if row.args.startswith("scene ")]
+    assert sum("--samples=100 " in row.args for row in rows) == 12
+    large = [f"scene --leg2 3 --leg3 4 --e {e} --k 8 --samples 1001 --format {form}".split()
+             for e in (0.5, 1, 2) for form in ("svg", "json")]
+    rows += [outcome(argv) for argv in large]
+    assert all(row.code == "0" for row in rows[-len(large):])
+    monkeypatch.setitem(sys.modules, "numpy", None)
+    assert [outcome(row.args.split(" ")) for row in rows] == rows

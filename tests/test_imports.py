@@ -1,7 +1,7 @@
 """What the package root exports, what each command loads, and the result records.
 
-numpy loads only for a `scene` of more than 64 samples per arc; scipy and
-argparse never."""
+numpy, an optional extra, loads only for a `scene` of more than 64 samples per
+arc, and only where it is installed; scipy and argparse never."""
 
 import os
 import subprocess

@@ -418,3 +418,22 @@ def test_small_grids_and_threaded_processes_stay_serial(monkeypatch):
         release.set()
         other.join()
     assert forks == []
+
+
+def test_an_unreadable_thread_list_keeps_a_sweep_serial(monkeypatch):
+    listed, forks, fork = [], [], os.fork
+
+    def unreadable(path):  # /proc not mounted, or not readable
+        listed.append(path)
+        raise OSError(errno.EACCES, "Permission denied", path)
+
+    tri, e_values, k_values = make_right_triangle(3.0, 4.0), [0.0, 1.0, 2.0], [3.0, 8.0, 16.0]
+    serial = _outcome(tri, e_values, k_values)
+    monkeypatch.setattr(os, "listdir", unreadable)
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    assert triples._processes(10**4) == 1
+    monkeypatch.setattr(triples, "_SPLIT_CELLS", 2)  # a grid that would split
+    assert _outcome(tri, e_values, k_values) == serial and forks == []
+    assert listed == (["/proc/self/task"] * 2 if sys.platform == "linux" else [])
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
